@@ -447,9 +447,11 @@ type ArenaStats struct {
 	// LeaseBlocks off.
 	CacheSteals int64
 	// CapacityNow is the capacity resident right now: the summed sizes of
-	// an elastic arena's active levels, tracking live contention between
-	// ElasticConfig.MinCapacity and the growth ceiling. Fixed-capacity
-	// backends report Capacity — the two new fields are zero-delta there.
+	// an elastic arena's active levels, tracking live contention. It
+	// starts at the level prefix covering ElasticConfig.MinCapacity and,
+	// once the ladder is fully grown, exceeds the ceiling — the final
+	// level alone seats it, so the sum is about twice the ceiling.
+	// Fixed-capacity backends report Capacity.
 	CapacityNow int
 	// PeakCapacity is the largest CapacityNow the arena has reached;
 	// Capacity for fixed backends.
@@ -586,42 +588,21 @@ func NewArena(cfg ArenaConfig) (*Arena, error) {
 	}
 	var impl longlived.Arena
 	switch cfg.Backend {
-	case "", ArenaLevel:
+	case "", ArenaLevel, ArenaElastic:
+		// One ladder: pinned unless elastic residency was asked for.
+		var e *registry.ElasticParams
 		if cfg.Elastic != nil {
-			impl = longlived.NewElastic(buildCap, longlived.ElasticConfig{
-				MinCapacity: cfg.Elastic.MinCapacity,
-				GrowAt:      cfg.Elastic.GrowAt,
-				ShrinkAt:    cfg.Elastic.ShrinkAt,
-				Probes:      cfg.Probes,
-				MaxPasses:   acquirePasses,
-				WordScan:    wordScan,
-				Padded:      true,
-				Lease:       lease,
-			})
-			break
+			e = cfg.Elastic.params()
+		} else if cfg.Backend == ArenaElastic {
+			e = &registry.ElasticParams{}
 		}
-		impl = longlived.NewLevel(cfg.Capacity, longlived.LevelConfig{
+		impl = longlived.NewLadder(buildCap, longlived.ElasticConfig{
 			Probes:    cfg.Probes,
 			MaxPasses: acquirePasses,
 			WordScan:  wordScan,
 			Padded:    true,
 			Lease:     lease,
-		})
-	case ArenaElastic:
-		e := cfg.Elastic
-		if e == nil {
-			e = &ElasticConfig{}
-		}
-		impl = longlived.NewElastic(buildCap, longlived.ElasticConfig{
-			MinCapacity: e.MinCapacity,
-			GrowAt:      e.GrowAt,
-			ShrinkAt:    e.ShrinkAt,
-			Probes:      cfg.Probes,
-			MaxPasses:   acquirePasses,
-			WordScan:    wordScan,
-			Padded:      true,
-			Lease:       lease,
-		})
+		}, e)
 	case ArenaTau:
 		if cfg.Elastic != nil {
 			return nil, fmt.Errorf("shmrename: ArenaConfig.Elastic is not supported by the %q backend (its counting devices are fixed-shape); use %q or %q",

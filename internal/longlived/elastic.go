@@ -4,22 +4,33 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"runtime"
 	"sort"
 	"sync/atomic"
 
+	"shmrename/internal/registry"
 	"shmrename/internal/shm"
 )
 
-// ElasticArena is the elastic adaptation of the LevelArray ladder: the
-// geometry of LevelArena (geometrically growing word-packed TAS bitmaps,
-// level 0 smallest, a capacity-sized final backstop) with the resident
-// prefix of the ladder sized to the *current* contention instead of the
-// provisioned maximum. Levels are appended under load and drained/retired
-// when occupancy falls, without ever stopping concurrent acquires — the
-// resident bitmap+stamp bytes and the probe range both track live holders,
-// the adaptive-space property argued by "Space Bounds for Adaptive
-// Renaming" (arXiv:1603.04067) on top of the LevelArray's adaptive-work
-// property (arXiv:1405.5461).
+// ElasticArena is the LevelArray ladder (arXiv:1405.5461): levels of
+// geometrically growing word-packed TAS bitmaps, level 0 the smallest and
+// the final backstop level sized to the full capacity. Acquire probes each
+// level a few times at random and falls through; since at most capacity-1
+// other clients hold slots, the backstop always has a free slot, and a
+// deterministic scan is the termination guarantee. Release clears the
+// slot's bit (shm.OpClear), making the name immediately reusable. Names
+// are numbered level 0 first, so with k concurrent holders the random
+// probes w.h.p. place everyone within the first O(log k) levels, whose
+// sizes sum to O(k) — the long-lived analogue of adaptive tight renaming.
+//
+// Residency is a policy on top of that ladder. An elastic ladder
+// (NewElastic) sizes its resident prefix to the *current* contention
+// instead of the provisioned maximum: levels are appended under load and
+// drained/retired when occupancy falls, without ever stopping concurrent
+// acquires — the resident bitmap+stamp bytes and the probe range both
+// track live holders, the adaptive-space property argued by "Space Bounds
+// for Adaptive Renaming" (arXiv:1603.04067). A pinned ladder (NewLevel)
+// keeps every level resident for its whole life; see "Pinned ladder".
 //
 // # Publication protocol
 //
@@ -55,6 +66,20 @@ import (
 // consecutive observations at or below ShrinkAt x (capacity without the
 // top level), the hysteresis that keeps a diurnal trough from thrashing
 // the ladder.
+//
+// # Pinned ladder
+//
+// NewLevel builds the ladder fully resident and pinned: the resize
+// triggers, the occupancy counter, the floor hint and claim revalidation
+// are skipped on every path, Grow and Shrink report false, CapacityNow
+// and PeakCapacity equal Capacity, and the backstop scans only the final
+// (capacity-sized) level.
+// That last rule is the one loop difference between the two policies; it
+// keeps the pinned grant sequence — and so every level-array golden
+// fingerprint — identical to the fixed ladder's. Lease stamps form one
+// array laid out by global name, so a pinned ladder exposes a single lease
+// domain, and that domain can Seize (there is no drain accounting for the
+// integrity scrubber to bypass).
 type ElasticArena struct {
 	cfg       ElasticConfig
 	sizes     []int // full ladder shape, fixed at construction
@@ -62,6 +87,13 @@ type ElasticArena struct {
 	bound     int   // full-ladder name bound (constant)
 	cap       int   // maximum capacity (the guarantee, reached by growth)
 	minLevels int   // resident floor: the prefix covering MinCapacity
+	// pinned marks a ladder built by NewLevel: every level resident, no
+	// resizing (see "Pinned ladder").
+	pinned bool
+	// stamps is a pinned ladder's lease-stamp array, indexed by global
+	// name across all levels; nil when elastic or when the lease layer is
+	// off.
+	stamps *shm.Stamps
 
 	levels []atomic.Pointer[elLevel]
 	// ladder packs (generation << 16 | activeLevels): the epoch/seqlock
@@ -103,9 +135,10 @@ const (
 	elRetired
 )
 
-// elLevel is one resident level: its bitmap space, its own lease-stamp
-// array (stamps follow levels — a retired level's stamps are dropped with
-// it), and the state flag claims revalidate against.
+// elLevel is one resident level: its bitmap space, its lease-stamp array
+// (on an elastic ladder stamps follow levels — a retired level's stamps
+// are dropped with it; a pinned ladder's levels share one array), and the
+// state flag claims revalidate against.
 type elLevel struct {
 	space  *shm.NameSpace
 	stamps *shm.Stamps
@@ -116,8 +149,8 @@ type elLevel struct {
 	state  atomic.Uint32
 }
 
-// ElasticConfig parameterizes an ElasticArena. The probe/scan/lease knobs
-// mirror LevelConfig; the resize knobs mirror registry.ElasticParams.
+// ElasticConfig parameterizes an ElasticArena. The resize knobs mirror
+// registry.ElasticParams; a pinned ladder (NewLevel) ignores them.
 type ElasticConfig struct {
 	// MinCapacity floors the resident ladder: the arena never drains below
 	// the level prefix covering it. Default Base, clamped to the capacity.
@@ -140,23 +173,42 @@ type ElasticConfig struct {
 	Base int
 	// MaxPasses bounds full Acquire passes before reporting the arena
 	// full; ladder-extending retries do not consume a pass. 0 means
-	// unlimited.
+	// unlimited (simulated runs rely on the scheduler's step budget
+	// instead).
 	MaxPasses int
-	// WordScan enables the word-granular claim engine (see
-	// LevelConfig.WordScan).
+	// WordScan enables the word-granular claim engine: probes target
+	// bitmap words instead of single bits (one snapshot-scan-CAS claims the
+	// first free name of 64 in one step), the backstop scans words instead
+	// of names, saturation hints redirect probes away from words observed
+	// full, and batch acquires claim up to 64 names per step. Off by
+	// default: the per-bit probe path is the deterministic-mode contract
+	// whose golden fingerprints (and the paper's per-TAS cost model) stay
+	// bit-identical across refactors.
 	WordScan bool
-	// Padded lays level bitmaps out one word per cache line (native runs).
+	// Padded lays level bitmaps out one word per cache line for native
+	// runs on real cores; leave false for simulated runs.
 	Padded bool
-	// Lease enables the crash-recovery stamp layer. Each level owns its
-	// stamp array, created and retired with the level; LeaseDomains
-	// re-enumerates the resident levels on every call, which is exactly
-	// how recovery.Sweeper consumes it.
+	// Lease enables the crash-recovery stamp layer (see LeaseOpts): every
+	// claim publishes a holder/epoch lease stamp and every release retires
+	// it, at one extra step per name each way, so a recovery sweep can
+	// reclaim names whose holder crashed. On an elastic ladder each level
+	// owns its stamp array, created and retired with the level, and
+	// LeaseDomains re-enumerates the resident levels on every call, which
+	// is exactly how recovery.Sweeper consumes it. Nil costs nothing.
 	Lease *LeaseOpts
-	// Label prefixes the operation-space labels. Default "elastic". Labels
-	// are per ladder slot, not per incarnation, so a regrown level reuses
-	// its predecessor's interned operation space.
+	// Label prefixes the operation-space labels. Default "elastic"
+	// ("arena" for NewLevel). Labels are per ladder slot, not per
+	// incarnation, so a regrown level reuses its predecessor's interned
+	// operation space.
 	Label string
 }
+
+// LevelArena is the pinned ladder NewLevel builds: an ElasticArena whose
+// every level is resident for its whole life.
+type LevelArena = ElasticArena
+
+// LevelConfig parameterizes NewLevel. The resize knobs are ignored.
+type LevelConfig = ElasticConfig
 
 func (c *ElasticConfig) fill() {
 	if c.Probes <= 0 {
@@ -186,8 +238,32 @@ var _ Recoverable = (*ElasticArena)(nil)
 // capacity concurrent holders and drains back toward cfg.MinCapacity when
 // contention falls. The full ladder shape equals NewLevel's for the same
 // capacity, so NameBound (and the sharded frontend's equal-stride
-// invariant) are identical to the fixed arena's.
+// invariant) are identical to the pinned arena's.
 func NewElastic(capacity int, cfg ElasticConfig) *ElasticArena {
+	return newLadder(capacity, cfg, false)
+}
+
+// NewLevel builds a pinned ladder guaranteeing capacity concurrent
+// holders: every level resident from the start, never resized.
+func NewLevel(capacity int, cfg LevelConfig) *LevelArena {
+	if cfg.Label == "" {
+		cfg.Label = "arena"
+	}
+	return newLadder(capacity, cfg, true)
+}
+
+// NewLadder builds the ladder of the level-backed frontends: pinned
+// (NewLevel) when e is nil, elastic (NewElastic) with e's resize knobs —
+// which replace cfg's — otherwise.
+func NewLadder(capacity int, cfg ElasticConfig, e *registry.ElasticParams) *ElasticArena {
+	if e == nil {
+		return NewLevel(capacity, cfg)
+	}
+	cfg.MinCapacity, cfg.GrowAt, cfg.ShrinkAt, cfg.ShrinkAfter = e.MinCapacity, e.GrowAt, e.ShrinkAt, e.ShrinkAfter
+	return NewElastic(capacity, cfg)
+}
+
+func newLadder(capacity int, cfg ElasticConfig, pinned bool) *ElasticArena {
 	if capacity < 1 {
 		panic("longlived: capacity must be >= 1")
 	}
@@ -201,7 +277,9 @@ func NewElastic(capacity int, cfg ElasticConfig) *ElasticArena {
 	if cfg.MinCapacity < 0 {
 		panic(fmt.Sprintf("longlived: ElasticConfig.MinCapacity must be >= 0, got %d", cfg.MinCapacity))
 	}
-	a := &ElasticArena{cfg: cfg, cap: capacity}
+	a := &ElasticArena{cfg: cfg, cap: capacity, pinned: pinned}
+	// Geometric ladder: Base, 2·Base, 4·Base, ... strictly below capacity,
+	// then the capacity-sized backstop.
 	for size := cfg.Base; size < capacity; size *= 2 {
 		a.sizes = append(a.sizes, size)
 		a.base = append(a.base, a.bound)
@@ -211,23 +289,33 @@ func NewElastic(capacity int, cfg ElasticConfig) *ElasticArena {
 	a.base = append(a.base, a.bound)
 	a.bound += capacity
 	a.levels = make([]atomic.Pointer[elLevel], len(a.sizes))
-	minCap := cfg.MinCapacity
-	if minCap == 0 {
-		minCap = cfg.Base
-	}
-	if minCap > capacity {
-		minCap = capacity
-	}
-	a.minLevels = 1
-	for sum := a.sizes[0]; a.minLevels < len(a.sizes) && sum < minCap; a.minLevels++ {
-		sum += a.sizes[a.minLevels]
+	a.minLevels = len(a.sizes)
+	if !pinned {
+		minCap := cfg.MinCapacity
+		if minCap == 0 {
+			minCap = cfg.Base
+		}
+		if minCap > capacity {
+			minCap = capacity
+		}
+		a.minLevels = 1
+		for sum := a.sizes[0]; a.minLevels < len(a.sizes) && sum < minCap; a.minLevels++ {
+			sum += a.sizes[a.minLevels]
+		}
+	} else if cfg.Lease.enabled() {
+		a.stamps = shm.NewStamps(cfg.Label+":lease", a.bound)
 	}
 	for li := 0; li < a.minLevels; li++ {
 		a.installLevel(li)
 	}
 	a.drainIdx.Store(-1)
 	a.ladder.Store(packLadder(0, a.minLevels))
-	a.retune()
+	if pinned {
+		a.capNow.Store(int64(capacity))
+		a.peakCap.Store(int64(capacity))
+	} else {
+		a.retune()
+	}
 	return a
 }
 
@@ -263,10 +351,15 @@ func (a *ElasticArena) installLevel(li int) {
 		size:  a.sizes[li],
 	}
 	lvl.bytes = int64(lvl.space.FootprintBytes())
-	if a.cfg.Lease.enabled() {
-		lvl.stamps = shm.NewStamps(label+":lease", a.sizes[li])
+	switch {
+	case a.stamps != nil:
+		lvl.stamps = a.stamps
+		lvl.space.AttachStamps(a.stamps, lvl.base)
+		lvl.bytes += int64(lvl.size) * 8
+	case a.cfg.Lease.enabled():
+		lvl.stamps = shm.NewStamps(label+":lease", lvl.size)
 		lvl.space.AttachStamps(lvl.stamps, 0)
-		lvl.bytes += int64(lvl.stamps.Size()) * 8
+		lvl.bytes += int64(lvl.size) * 8
 	}
 	a.levels[li].Store(lvl)
 	a.resident.Add(lvl.bytes)
@@ -308,6 +401,9 @@ func (a *ElasticArena) Label() string {
 	if a.cfg.WordScan {
 		scan = "word"
 	}
+	if a.pinned {
+		return fmt.Sprintf("level-array(levels=%d,probes=%d,scan=%s)", len(a.levels), a.cfg.Probes, scan)
+	}
 	return fmt.Sprintf("elastic-level(levels=%d/%d,probes=%d,scan=%s)",
 		a.activeLevels(), len(a.levels), a.cfg.Probes, scan)
 }
@@ -315,15 +411,17 @@ func (a *ElasticArena) Label() string {
 // Capacity implements Arena: the guarantee, reached through growth.
 func (a *ElasticArena) Capacity() int { return a.cap }
 
-// NameBound implements Arena: the full-ladder bound, identical to the
-// fixed LevelArena's for the same capacity, constant across resizes.
+// NameBound implements Arena: the full-ladder bound, constant across
+// resizes.
 func (a *ElasticArena) NameBound() int { return a.bound }
 
 // Levels returns (resident, maximum) level counts (diagnostics).
 func (a *ElasticArena) Levels() (active, max int) { return a.activeLevels(), len(a.levels) }
 
 // CapacityNow implements registry.Elastic: the summed sizes of the active
-// non-draining levels.
+// non-draining levels — which exceeds Capacity once the ladder is fully
+// grown, since the backstop level alone seats Capacity — or Capacity on a
+// pinned ladder.
 func (a *ElasticArena) CapacityNow() int { return int(a.capNow.Load()) }
 
 // PeakCapacity implements registry.Elastic.
@@ -342,7 +440,8 @@ func (a *ElasticArena) Resizes() (grows, shrinks, cancels int64) {
 // Leased reports whether the crash-recovery lease layer is on.
 func (a *ElasticArena) Leased() bool { return a.cfg.Lease.enabled() }
 
-// leaseStamp mirrors LevelArena.leaseStamp.
+// leaseStamp returns the proc's current lease stamp, or 0 with leases off.
+// Computed once per operation: one epoch read covers the whole pass.
 func (a *ElasticArena) leaseStamp(p *shm.Proc) uint64 {
 	if !a.cfg.Lease.enabled() {
 		return 0
@@ -353,8 +452,9 @@ func (a *ElasticArena) leaseStamp(p *shm.Proc) uint64 {
 // Grow implements registry.Elastic: append the next geometric level, or —
 // when a drain is pending — cancel it (demand has returned; the draining
 // level reopens before any allocation happens). It reports whether the
-// ladder changed. Acquire calls it on every failed full pass and
-// proactively at the GrowAt occupancy trip; tests and benchmarks force it.
+// ladder changed (never on a pinned ladder, which is fully grown). Acquire
+// calls it on every failed full pass and proactively at the GrowAt
+// occupancy trip; tests and benchmarks force it.
 func (a *ElasticArena) Grow() bool {
 	if !a.resizeBusy.CompareAndSwap(false, true) {
 		return false
@@ -387,7 +487,8 @@ func (a *ElasticArena) Grow() bool {
 // Shrink implements registry.Elastic: initiate a drain of the top level if
 // none is pending, then attempt to complete whichever drain is pending. It
 // reports whether a level was actually retired — false while live holders
-// (or parked cache blocks) keep the draining level occupied.
+// (or parked cache blocks) keep the draining level occupied, and always on
+// a pinned ladder, whose resident floor is the whole ladder.
 func (a *ElasticArena) Shrink() bool {
 	a.startDrain(true)
 	return a.finishDrain()
@@ -460,7 +561,11 @@ func (a *ElasticArena) finishDrain() bool {
 
 // Draining implements registry.Drainer: caching layers must not park a
 // released name of a draining level (the parked claim would pin the drain).
+// Never true on a pinned ladder, which answers without a lookup.
 func (a *ElasticArena) Draining(name int) bool {
+	if a.pinned {
+		return false
+	}
 	li, _ := a.locate(name)
 	lvl := a.levels[li].Load()
 	return lvl != nil && lvl.state.Load() != elActive
@@ -519,13 +624,16 @@ func (a *ElasticArena) unclaim(p *shm.Proc, lvl *elLevel, i int) {
 
 // granted revalidates a claim against the level state: a claim in a level
 // that began draining self-releases and reports false, so the drain's
-// clean-scan proof holds. On success it returns the global name.
+// clean-scan proof holds. On success it returns the global name. A
+// pinned ladder never drains, so its claims are granted as they land.
 func (a *ElasticArena) granted(p *shm.Proc, lvl *elLevel, i int) (int, bool) {
-	if lvl.state.Load() != elActive {
-		a.unclaim(p, lvl, i)
-		return -1, false
+	if !a.pinned {
+		if lvl.state.Load() != elActive {
+			a.unclaim(p, lvl, i)
+			return -1, false
+		}
+		a.noteAcquired(lvl, 1)
 	}
-	a.noteAcquired(lvl, 1)
 	return lvl.base + i, true
 }
 
@@ -554,23 +662,26 @@ func claimUpTo(p *shm.Proc, s *shm.NameSpace, w, k int, stamp uint64) uint64 {
 }
 
 // Acquire implements Arena: read the ladder word, probe the active levels
-// from the floor hint, then a deterministic bottom-up backstop scan over
-// every active level (the termination guarantee — when the ladder is fully
-// grown its final level alone seats the full capacity). A failed full pass
-// extends the ladder (or cancels a pending drain) and retries without
-// consuming a pass; the ladder can only change a bounded number of times,
-// so MaxPasses still bounds the call.
+// from the floor hint, then a deterministic backstop scan (the termination
+// guarantee — when the ladder is fully grown its final level alone seats
+// the full capacity). An elastic ladder's backstop walks every active
+// level bottom-up (tighter names than a top-only scan, and correct at any
+// ladder height), and a failed full pass extends the ladder (or cancels a
+// pending drain) and retries without consuming a pass; the ladder can only
+// change a bounded number of times, so MaxPasses still bounds the call.
+// With WordScan the probes and the backstop run word-granular: random
+// probes pick a bitmap word per attempt — skipping words hinted
+// saturated, at no step cost — and ClaimFirstFree turns the whole word
+// into one snapshot-scan-CAS step. Hints only redirect probes; the
+// backstop reads every word itself, so a stale hint can never starve the
+// termination guarantee.
 func (a *ElasticArena) Acquire(p *shm.Proc) int {
 	stamp := a.leaseStamp(p)
 	r := p.Rand()
 	regrown := 0
 	for pass := 0; a.cfg.MaxPasses == 0 || pass < a.cfg.MaxPasses; {
 		act := a.activeLevels()
-		floor := int(a.floor.Load())
-		if floor >= act || floor < 0 {
-			floor = 0
-		}
-		for li := floor; li < act; li++ {
+		for li := a.probeFrom(act); li < act; li++ {
 			lvl := a.levels[li].Load()
 			if lvl == nil || lvl.state.Load() != elActive {
 				continue
@@ -599,9 +710,10 @@ func (a *ElasticArena) Acquire(p *shm.Proc) int {
 				}
 			}
 		}
-		// Deterministic backstop: every active level, bottom-up (tighter
-		// names than a top-only scan, and correct at any ladder height).
-		for li := 0; li < act; li++ {
+		// Backstop scan: bit mode reads first and TASes only slots that
+		// looked free. A scan that loses every race means other clients
+		// made progress; the next pass retries from the top of the ladder.
+		for li := a.backstopFrom(act); li < act; li++ {
 			lvl := a.levels[li].Load()
 			if lvl == nil || lvl.state.Load() != elActive {
 				continue
@@ -627,13 +739,72 @@ func (a *ElasticArena) Acquire(p *shm.Proc) int {
 				}
 			}
 		}
-		if regrown <= len(a.levels)+1 && a.structFull() && a.Grow() {
-			regrown++
+		if a.regrow(&regrown) {
 			continue
 		}
 		pass++
 	}
 	return -1
+}
+
+// probeFrom is the first level a pass probes: the floor hint on an
+// elastic ladder, level 0 on a pinned one.
+func (a *ElasticArena) probeFrom(act int) int {
+	if a.pinned {
+		return 0
+	}
+	if f := int(a.floor.Load()); f > 0 && f < act {
+		return f
+	}
+	return 0
+}
+
+// backstopFrom is the first level the deterministic backstop scans: every
+// active level on an elastic ladder, only the capacity-sized final level
+// on a pinned one.
+func (a *ElasticArena) backstopFrom(act int) int {
+	if a.pinned {
+		return act - 1
+	}
+	return 0
+}
+
+// regrow decides whether a failed full pass retries without consuming a
+// pass: only on an elastic ladder that is structurally full and whose
+// ladder then changed, at most len(levels)+2 times per call.
+func (a *ElasticArena) regrow(regrown *int) bool {
+	if a.pinned || *regrown > len(a.levels)+1 || !a.structFull() || !a.extend() {
+		return false
+	}
+	*regrown++
+	return true
+}
+
+// extend is the failed-pass Grow. When another proc holds the resize
+// guard, Grow alone would report "no change" while that transition is
+// still being published, and the caller would burn its passes against a
+// ladder about to grow — a false arena-full at a fraction of capacity.
+// Instead extend waits for the guard to drop (yielding, spending no
+// steps) and reports whether the ladder word moved, retrying the Grow
+// itself when the other transition left the ladder as it was. Under the
+// simulated scheduler the guard is never observed held (transitions take
+// no steps), so simulated fingerprints are unaffected.
+func (a *ElasticArena) extend() bool {
+	for {
+		st := a.ladder.Load()
+		if a.Grow() {
+			return true
+		}
+		if !a.resizeBusy.Load() {
+			return false
+		}
+		for a.resizeBusy.Load() {
+			runtime.Gosched()
+		}
+		if a.ladder.Load() != st {
+			return true
+		}
+	}
 }
 
 // structFull reports whether a failed pass is structural-fullness evidence
@@ -668,6 +839,9 @@ func (a *ElasticArena) grantMask(p *shm.Proc, lvl *elLevel, w int, won uint64, o
 	if won == 0 {
 		return out, k
 	}
+	if a.pinned {
+		return appendMask(out, lvl.base+w<<6, won, k)
+	}
 	if lvl.state.Load() != elActive {
 		if lvl.stamps != nil {
 			lvl.space.FreeMaskStamped(p, w, won, a.cfg.Lease.holder(p))
@@ -683,9 +857,11 @@ func (a *ElasticArena) grantMask(p *shm.Proc, lvl *elLevel, w int, won uint64, o
 }
 
 // AcquireN implements Arena. With WordScan the batch walks the active
-// ladder claiming up to 64 names per step (each claimed mask revalidated
-// against the level state as one unit); without it the batch degenerates
-// to k independent Acquires, exactly like the fixed arena.
+// ladder top-down — so batches stay concentrated in the low levels —
+// claiming up to 64 names per step with ClaimUpTo (each claimed mask
+// revalidated against the level state as one unit), and the word backstop
+// completes the remainder. Without WordScan it degenerates to k
+// independent Acquires (the per-bit probe path has no cheaper primitive).
 func (a *ElasticArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 	if !a.cfg.WordScan {
 		for ; k > 0; k-- {
@@ -702,11 +878,7 @@ func (a *ElasticArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 	regrown := 0
 	for pass := 0; k > 0 && (a.cfg.MaxPasses == 0 || pass < a.cfg.MaxPasses); {
 		act := a.activeLevels()
-		floor := int(a.floor.Load())
-		if floor >= act || floor < 0 {
-			floor = 0
-		}
-		for li := floor; k > 0 && li < act; li++ {
+		for li := a.probeFrom(act); k > 0 && li < act; li++ {
 			lvl := a.levels[li].Load()
 			if lvl == nil || lvl.state.Load() != elActive {
 				continue
@@ -720,7 +892,7 @@ func (a *ElasticArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 				out, k = a.grantMask(p, lvl, w, claimUpTo(p, lvl.space, w, k, stamp), out, k)
 			}
 		}
-		for li := 0; k > 0 && li < act; li++ {
+		for li := a.backstopFrom(act); k > 0 && li < act; li++ {
 			lvl := a.levels[li].Load()
 			if lvl == nil || lvl.state.Load() != elActive {
 				continue
@@ -729,15 +901,23 @@ func (a *ElasticArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 				out, k = a.grantMask(p, lvl, w, claimUpTo(p, lvl.space, w, k, stamp), out, k)
 			}
 		}
-		if k > 0 {
-			if regrown <= len(a.levels)+1 && a.structFull() && a.Grow() {
-				regrown++
-				continue
-			}
+		if k > 0 && !a.regrow(&regrown) {
 			pass++
 		}
 	}
 	return out
+}
+
+// appendMask appends the names encoded by a won word mask (global name =
+// wordBase + bit position) and returns the updated slice and remainder.
+func appendMask(out []int, wordBase int, won uint64, k int) ([]int, int) {
+	for won != 0 {
+		b := bits.TrailingZeros64(won)
+		won &= won - 1
+		out = append(out, wordBase+b)
+		k--
+	}
+	return out, k
 }
 
 // locate returns the ladder slot holding the global name and its local
@@ -761,17 +941,26 @@ func (a *ElasticArena) Release(p *shm.Proc, name int) {
 		return
 	}
 	if lvl.stamps != nil {
+		// The stamp is retired first (CAS mine→0) and only then the claim
+		// bit cleared; a stamp the recovery sweep already reclaimed means
+		// the name is no longer ours, and the bit is left alone.
 		if !lvl.space.FreeStamped(p, i, a.cfg.Lease.holder(p)) {
 			return // reclaimed out from under the holder; occ already adjusted
 		}
 	} else {
 		lvl.space.Free(p, i)
 	}
-	a.noteReleased(lvl, 1)
+	if !a.pinned {
+		a.noteReleased(lvl, 1)
+	}
 }
 
-// ReleaseN implements Arena, coalescing names sharing a bitmap word of a
-// level into one clearing step, exactly like the fixed arena.
+// ReleaseN implements Arena: names sharing a bitmap word of a level are
+// coalesced into one FreeMask step, so a batch of b word-adjacent names
+// costs ⌈b/64⌉ clearing steps instead of b. The input slice is not
+// modified; grouping needs sorted names, so an unsorted input is copied
+// (already-sorted batches — e.g. the per-shard groups the sharded
+// frontend hands down — are grouped in place, no allocation).
 func (a *ElasticArena) ReleaseN(p *shm.Proc, names []int) {
 	switch len(names) {
 	case 0:
@@ -813,14 +1002,32 @@ func (a *ElasticArena) ReleaseN(p *shm.Proc, names []int) {
 	}
 }
 
-// LeaseDomains implements Recoverable: one domain per resident level
-// (stamps follow levels), re-enumerated on every call so the recovery
-// sweeper and heartbeats always see the current ladder. Reclaims flow
-// through the same release accounting as client releases, keeping the
-// resize triggers honest.
+// LeaseDomains implements Recoverable. A pinned ladder has one domain
+// spanning the whole ladder, since its stamp array is laid out by global
+// name; it can Seize, as no resize accounting rides on the claim bits. An
+// elastic ladder has one domain per resident level (stamps follow
+// levels), re-enumerated on every call so the recovery sweeper and
+// heartbeats always see the current ladder; reclaims flow through the
+// same release accounting as client releases, keeping the resize
+// triggers honest.
 func (a *ElasticArena) LeaseDomains() []LeaseDomain {
 	if !a.cfg.Lease.enabled() {
 		return nil
+	}
+	if a.pinned {
+		return []LeaseDomain{{
+			Base:   0,
+			Stamps: a.stamps,
+			IsHeld: a.IsHeld,
+			Reclaim: func(p *shm.Proc, i int) {
+				li, loc := a.locate(i)
+				a.levels[li].Load().space.Free(p, loc)
+			},
+			Seize: func(p *shm.Proc, i int) bool {
+				li, loc := a.locate(i)
+				return a.levels[li].Load().space.TryClaim(p, loc)
+			},
+		}}
 	}
 	var out []LeaseDomain
 	for li := range a.levels {
@@ -842,7 +1049,7 @@ func (a *ElasticArena) LeaseDomains() []LeaseDomain {
 	return out
 }
 
-// Touch implements Arena.
+// Touch implements Arena: one read of the name's TAS register.
 func (a *ElasticArena) Touch(p *shm.Proc, name int) {
 	li, i := a.locate(name)
 	if lvl := a.levels[li].Load(); lvl != nil {

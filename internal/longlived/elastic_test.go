@@ -13,10 +13,12 @@ import (
 // TestElasticGeometryMatchesFixed pins the tentpole's compatibility
 // contract: the elastic ladder's *shape* — and therefore NameBound, the
 // Monitor sizing, and the sharded frontend's equal-stride envelope — is
-// identical to the fixed LevelArena's for the same capacity; only the
-// resident prefix differs.
+// identical to the pinned ladder's for the same capacity; only the
+// resident prefix differs. The pinned ladder has every level resident,
+// including capacities (129) whose lower levels alone already sum past
+// the capacity.
 func TestElasticGeometryMatchesFixed(t *testing.T) {
-	for _, capacity := range []int{1, 8, 64, 100, 1024, 4096} {
+	for _, capacity := range []int{1, 8, 64, 100, 129, 1024, 4096} {
 		fixed := NewLevel(capacity, LevelConfig{Label: "t-egeom-f"})
 		el := NewElastic(capacity, ElasticConfig{Label: "t-egeom-e"})
 		if el.NameBound() != fixed.NameBound() {
@@ -27,8 +29,8 @@ func TestElasticGeometryMatchesFixed(t *testing.T) {
 			t.Fatalf("capacity %d: Capacity() = %d", capacity, el.Capacity())
 		}
 		act, max := el.Levels()
-		if fixedLevels := fixed.Levels(); max != fixedLevels {
-			t.Fatalf("capacity %d: max levels %d != fixed levels %d", capacity, max, fixedLevels)
+		if fixedAct, fixedLevels := fixed.Levels(); max != fixedLevels || fixedAct != fixedLevels {
+			t.Fatalf("capacity %d: max levels %d, fixed levels %d of which %d resident", capacity, max, fixedLevels, fixedAct)
 		}
 		// Default MinCapacity = Base: exactly one resident level at start.
 		if act != 1 {
@@ -206,41 +208,97 @@ func TestElasticDeterministicReplay(t *testing.T) {
 // grow/shrink transitions as fast as it can. Every acquire must succeed
 // (MaxPasses 0 — resizes may slow an acquire but never wedge or starve
 // it), names stay unique, and the arena drains clean.
+//
+// The pinned rows are the pinned-ladder contract under the same storm:
+// every forced Grow and Shrink reports false, the generation never moves,
+// CapacityNow == PeakCapacity == Capacity, and ResidentBytes is the fixed
+// footprint — the full ladder's bitmaps plus 8 bytes per stamp when
+// leased.
 func TestElasticResizeStormNative(t *testing.T) {
-	const workers, cycles = 8, 300
-	a := NewElastic(512, ElasticConfig{ShrinkAfter: 4, MaxPasses: 0, Label: "t-estorm"})
-	mon := NewMonitor(a.NameBound())
-	var stop atomic.Bool
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		for !stop.Load() {
-			a.Grow()
-			a.Shrink()
-			runtime.Gosched()
-		}
-	}()
-	sched.RunNative(workers, 73, ChurnBody(a, mon, ChurnConfig{
-		Cycles: cycles, HoldMin: 0, HoldMax: 6, Yield: true,
-	}))
-	stop.Store(true)
-	wg.Wait()
-	if err := mon.Err(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := mon.Acquires(), int64(workers*cycles); got != want {
-		t.Fatalf("%d acquires completed, want %d (resizes must not starve acquires)", got, want)
-	}
-	if h := a.Held(); h != 0 {
-		t.Fatalf("%d names held after storm", h)
-	}
-	// The storm ends with no pending drain wedged: forced shrinks walk back
-	// to the floor.
-	for a.Shrink() {
-	}
-	if act, _ := a.Levels(); act != 1 {
-		t.Fatalf("resident levels %d after storm drain, want 1", act)
+	const workers, cycles, capacity = 8, 300, 512
+	leased := &LeaseOpts{Epochs: shm.NewCounterEpochs(1)}
+	for _, tc := range []struct {
+		name string
+		a    *ElasticArena
+	}{
+		{"elastic", NewElastic(capacity, ElasticConfig{ShrinkAfter: 4, MaxPasses: 0, Label: "t-estorm"})},
+		{"pinned", NewLevel(capacity, LevelConfig{MaxPasses: 0, Label: "t-pstorm"})},
+		{"pinned-leased", NewLevel(capacity, LevelConfig{MaxPasses: 0, Lease: leased, Label: "t-pstorm-l"})},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a := tc.a
+			mon := NewMonitor(a.NameBound())
+			var stop atomic.Bool
+			var resized atomic.Int64
+			var wg sync.WaitGroup
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for !stop.Load() {
+					if a.Grow() {
+						resized.Add(1)
+					}
+					if a.Shrink() {
+						resized.Add(1)
+					}
+					runtime.Gosched()
+				}
+			}()
+			sched.RunNative(workers, 73, ChurnBody(a, mon, ChurnConfig{
+				Cycles: cycles, HoldMin: 0, HoldMax: 6, Yield: true,
+			}))
+			stop.Store(true)
+			wg.Wait()
+			if err := mon.Err(); err != nil {
+				t.Fatal(err)
+			}
+			if got, want := mon.Acquires(), int64(workers*cycles); got != want {
+				t.Fatalf("%d acquires completed, want %d (resizes must not starve acquires)", got, want)
+			}
+			if h := a.Held(); h != 0 {
+				t.Fatalf("%d names held after storm", h)
+			}
+			act, max := a.Levels()
+			if !a.pinned {
+				// The storm ends with no pending drain wedged: forced
+				// shrinks walk back to the floor.
+				for a.Shrink() {
+				}
+				if act, _ := a.Levels(); act != 1 {
+					t.Fatalf("resident levels %d after storm drain, want 1", act)
+				}
+				return
+			}
+			if n := resized.Load(); n != 0 || a.Grow() || a.Shrink() {
+				t.Fatalf("pinned ladder changed %d times under forced resizes", n)
+			}
+			if g := a.Generation(); g != 0 {
+				t.Fatalf("pinned generation %d, want 0", g)
+			}
+			if act != max {
+				t.Fatalf("pinned ladder has %d of %d levels resident", act, max)
+			}
+			if a.CapacityNow() != capacity || a.PeakCapacity() != capacity || a.Capacity() != capacity {
+				t.Fatalf("pinned CapacityNow %d, PeakCapacity %d, Capacity %d, want all %d",
+					a.CapacityNow(), a.PeakCapacity(), a.Capacity(), capacity)
+			}
+			var want int64
+			for size := 64; ; size *= 2 {
+				if size >= capacity {
+					size = capacity
+				}
+				want += int64(shm.NewNameSpace("t-pstorm-geom", size).FootprintBytes())
+				if size == capacity {
+					break
+				}
+			}
+			if a.Leased() {
+				want += int64(a.NameBound()) * 8
+			}
+			if got := a.ResidentBytes(); got != want {
+				t.Fatalf("pinned ResidentBytes %d, want the fixed footprint %d", got, want)
+			}
+		})
 	}
 }
 
@@ -325,5 +383,44 @@ func TestElasticBatchPaths(t *testing.T) {
 	a.ReleaseN(p, out)
 	if h := a.Held(); h != 0 {
 		t.Fatalf("%d held after batch release", h)
+	}
+}
+
+// TestElasticConcurrentFillNoFalseFull pins the grow-wait rule: two procs
+// filling a fresh elastic ladder to capacity-16 never see a full answer.
+// A failed pass that finds the other proc mid-grow must wait for that grow
+// to publish instead of spending the pass, or the two burn their
+// MaxPasses against a ladder about to double and report full at a
+// fraction of the guarantee.
+func TestElasticConcurrentFillNoFalseFull(t *testing.T) {
+	const capacity, procs = 4096, 2
+	fills := 200
+	if testing.Short() {
+		fills = 20
+	}
+	var full atomic.Int64
+	for f := 0; f < fills; f++ {
+		a := NewElastic(capacity, ElasticConfig{MaxPasses: 8, WordScan: true, Padded: true, Label: "t-efill"})
+		var wg sync.WaitGroup
+		for w := 0; w < procs; w++ {
+			wg.Add(1)
+			go func(p *shm.Proc) {
+				defer wg.Done()
+				for got := 0; got < (capacity-16)/procs; {
+					if a.Acquire(p) < 0 {
+						full.Add(1)
+						continue
+					}
+					got++
+				}
+			}(nativeProc(f*procs + w))
+		}
+		wg.Wait()
+		if h := a.Held(); h != capacity-16 {
+			t.Fatalf("fill %d: held %d, want %d", f, h, capacity-16)
+		}
+	}
+	if n := full.Load(); n != 0 {
+		t.Fatalf("%d full answers across %d fills to capacity-16", n, fills)
 	}
 }

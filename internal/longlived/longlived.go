@@ -11,12 +11,14 @@
 //
 // Two backends share the Arena interface:
 //
-//   - LevelArena: a LevelArray-style hierarchy of geometrically growing
+//   - ElasticArena: a LevelArray-style ladder of geometrically growing
 //     word-packed TAS bitmaps (shm.NameSpace). Acquire probes a few random
 //     slots per level, falling through to larger levels, with a
 //     deterministic scan of the capacity-sized backstop level as the safety
 //     net; Release clears the slot's bit. Small levels carry the low names,
-//     so the maximum issued name tracks the occupancy.
+//     so the maximum issued name tracks the occupancy. NewLevel builds it
+//     pinned (every level resident; LevelArena names that shape), NewElastic
+//     with a resident prefix that grows and shrinks with load.
 //   - TauArena: the long-lived adaptation of the paper's §III tight
 //     algorithm. Acquire wins a TAS bit of a randomly probed τ-register
 //     counting device and then a name from the device's block; Release

@@ -40,15 +40,7 @@ func init() {
 			Deterministic: true,
 			SelfHealing:   true,
 		},
-		New: func(cfg registry.Config) registry.Arena {
-			return NewLevel(cfg.Capacity, LevelConfig{
-				MaxPasses: cfg.MaxPasses,
-				WordScan:  cfg.Scan == "word",
-				Padded:    cfg.Padded,
-				Lease:     Lease(cfg),
-				Label:     cfg.Label,
-			})
-		},
+		New: func(cfg registry.Config) registry.Arena { return newRegisteredLadder(cfg, nil) },
 	})
 	registry.Register(registry.Backend{
 		Name: "elastic-level",
@@ -59,20 +51,11 @@ func init() {
 			Elastic:       true,
 		},
 		New: func(cfg registry.Config) registry.Arena {
-			ecfg := ElasticConfig{
-				MaxPasses: cfg.MaxPasses,
-				WordScan:  cfg.Scan == "word",
-				Padded:    cfg.Padded,
-				Lease:     Lease(cfg),
-				Label:     cfg.Label,
+			e := cfg.Elastic
+			if e == nil {
+				e = &registry.ElasticParams{}
 			}
-			if e := cfg.Elastic; e != nil {
-				ecfg.MinCapacity = e.MinCapacity
-				ecfg.GrowAt = e.GrowAt
-				ecfg.ShrinkAt = e.ShrinkAt
-				ecfg.ShrinkAfter = e.ShrinkAfter
-			}
-			return NewElastic(cfg.Capacity, ecfg)
+			return newRegisteredLadder(cfg, e)
 		},
 	})
 	registry.Register(registry.Backend{
@@ -94,4 +77,16 @@ func init() {
 			})
 		},
 	})
+}
+
+// newRegisteredLadder builds the registered ladder shapes from the common
+// config: pinned for level-array (e nil), elastic for elastic-level.
+func newRegisteredLadder(cfg registry.Config, e *registry.ElasticParams) registry.Arena {
+	return NewLadder(cfg.Capacity, ElasticConfig{
+		MaxPasses: cfg.MaxPasses,
+		WordScan:  cfg.Scan == "word",
+		Padded:    cfg.Padded,
+		Lease:     Lease(cfg),
+		Label:     cfg.Label,
+	}, e)
 }

@@ -70,8 +70,11 @@ type Arena interface {
 // wrappers may also implement it by delegation, reporting constant values.
 type Elastic interface {
 	// CapacityNow is the instantaneous claimable capacity: the summed sizes
-	// of the active (non-draining) levels. It moves between the configured
-	// minimum and Capacity as the arena grows and shrinks.
+	// of the active (non-draining) levels. It moves with the arena's
+	// grows and shrinks, from the level prefix covering the configured
+	// minimum up to the full ladder's sum — about 2 x Capacity, since the
+	// final level alone seats Capacity. Fixed-capacity implementations
+	// report Capacity.
 	CapacityNow() int
 	// PeakCapacity is the high-water mark of CapacityNow over the arena's
 	// lifetime.

@@ -200,29 +200,14 @@ func New(capacity int, cfg Config) *Arena {
 		var sub longlived.Arena
 		switch cfg.Sub {
 		case SubLevel:
-			if e := cfg.Elastic; e != nil {
-				sub = longlived.NewElastic(subCap, longlived.ElasticConfig{
-					MinCapacity: e.MinCapacity,
-					GrowAt:      e.GrowAt,
-					ShrinkAt:    e.ShrinkAt,
-					ShrinkAfter: e.ShrinkAfter,
-					Probes:      cfg.Probes,
-					MaxPasses:   1, // one bounded pass per frontend attempt
-					WordScan:    cfg.WordScan,
-					Padded:      cfg.Padded,
-					Lease:       cfg.Lease,
-					Label:       label,
-				})
-				break
-			}
-			sub = longlived.NewLevel(subCap, longlived.LevelConfig{
+			sub = longlived.NewLadder(subCap, longlived.ElasticConfig{
 				Probes:    cfg.Probes,
 				MaxPasses: 1, // one bounded pass per frontend attempt
 				WordScan:  cfg.WordScan,
 				Padded:    cfg.Padded,
 				Lease:     cfg.Lease,
 				Label:     label,
-			})
+			}, cfg.Elastic)
 		case SubTau:
 			if cfg.Elastic != nil {
 				panic("sharded: Config.Elastic requires the SubLevel sub-backend")
