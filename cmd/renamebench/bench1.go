@@ -169,9 +169,7 @@ func runBench1(path string, seed uint64, maxExp int, against string) error {
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					inst := w.make(n)
-					res := sched.Run(sched.Config{
-						N: n, Seed: seed + uint64(i), Fast: sched.FastFIFO, Body: inst.Body,
-					})
+					res := core.Simulate(inst, sched.Config{Seed: seed + uint64(i), Fast: sched.FastFIFO})
 					if err := sched.VerifyUnique(res, inst.M()); err != nil {
 						panic(fmt.Sprintf("bench1 %s n=%d: %v", w.exp, n, err))
 					}

@@ -64,6 +64,12 @@ func TestGoldenDeterminismTight(t *testing.T) {
 	res := sched.Run(sched.Config{N: 64, Seed: 7, Fast: sched.FastFIFO, Body: inst.Body})
 	checkGolden(t, "tight-fifo", res)
 
+	// The same run through Simulate, which grants the FIFO schedule's
+	// steps to the tight step machine instead of resuming coroutines.
+	inst = core.NewTight(64, core.TightConfig{SelfClocked: true})
+	res = core.Simulate(inst, sched.Config{Seed: 7, Fast: sched.FastFIFO})
+	checkGolden(t, "tight-fifo", res)
+
 	// Externally clocked round-robin: exercises the AfterStep ordering of
 	// the policy path against the same golden.
 	inst = core.NewTight(64, core.TightConfig{})
@@ -104,4 +110,37 @@ func TestPerfSmoke(t *testing.T) {
 		t.Fatalf("E2 n=%d took %v, ceiling %v: simulator hot path regressed", n, elapsed, ceiling)
 	}
 	t.Logf("E2 n=%d in %v (ceiling %v)", n, elapsed, ceiling)
+}
+
+// TestPerfSmokeMachine guards the step-machine runner the way
+// TestPerfSmoke guards the coroutine runner: one simulated tight rename at
+// n = 2^16 under the random schedule — the shape Rename runs for
+// Schedule "random" — must finish far inside a wall-clock ceiling. It
+// takes ~0.15-0.2 s on a 2-vCPU x86-64 host; the ceiling leaves 30x
+// headroom, so a per-grant O(n) cost blows it. (The coroutine runner takes
+// ~2.7 s there, inside the ceiling; sched's TestRunMachineStartsNoCoroutines
+// is what pins the runner choice.)
+func TestPerfSmokeMachine(t *testing.T) {
+	if testing.Short() {
+		t.Skip("perf smoke needs a full n = 2^16 run")
+	}
+	const n = 1 << 16
+	ceiling := 6 * time.Second
+	if raceDetector {
+		ceiling *= 4
+	}
+	start := time.Now()
+	inst := core.NewTight(n, core.TightConfig{SelfClocked: true})
+	res := core.Simulate(inst, sched.Config{Seed: 1, Fast: sched.FastRandom})
+	elapsed := time.Since(start)
+	if err := sched.VerifyUnique(res, n); err != nil {
+		t.Fatal(err)
+	}
+	if got := sched.CountStatus(res, sched.Named); got != n {
+		t.Fatalf("%d of %d processes named", got, n)
+	}
+	if elapsed > ceiling {
+		t.Fatalf("tight n=%d on the machine runner took %v, ceiling %v: simulator hot path regressed", n, elapsed, ceiling)
+	}
+	t.Logf("tight n=%d, random schedule, machine runner in %v (ceiling %v)", n, elapsed, ceiling)
 }

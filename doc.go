@@ -154,9 +154,12 @@
 //
 //   - Simulated mode: each process is a pull-style coroutine; a granted
 //     step is two coroutine stack switches with no channel operations and
-//     no per-step allocation. Executions are deterministic given (seed,
-//     schedule). Operation descriptors address shared structures by
-//     interned integer SpaceIDs, never strings.
+//     no per-step allocation. TightTau under the "fifo" and "random"
+//     schedules (no crashes) runs as a per-process step machine instead,
+//     and a granted step is a plain call; the results are identical.
+//     Executions are deterministic given (seed, schedule). Operation
+//     descriptors address shared structures by interned integer SpaceIDs,
+//     never strings.
 //   - Native mode: processes are goroutines hitting sync/atomic directly;
 //     a step is one atomic operation on the target structure.
 //

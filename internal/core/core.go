@@ -42,16 +42,23 @@ type Instance interface {
 	Clock() func()
 }
 
-// RunSim executes the instance on the deterministic adversarial simulator.
+// RunSim executes the instance on the deterministic adversarial simulator
+// under policy (round-robin when nil).
 func RunSim(inst Instance, seed uint64, policy sched.Policy) []sched.Result {
-	return sched.Run(sched.Config{
-		N:         inst.N(),
-		Seed:      seed,
-		Policy:    policy,
-		Body:      inst.Body,
-		AfterStep: inst.Clock(),
-		Spaces:    inst.Probeables(),
-	})
+	return Simulate(inst, sched.Config{Seed: seed, Policy: policy})
+}
+
+// Simulate executes the instance on the deterministic simulator under the
+// schedule, seed and step budget of cfg; N, Body, AfterStep and Spaces
+// come from the instance. A tight instance runs as a step machine
+// (sched.RunMachine), which under a fast schedule grants steps without a
+// coroutine per process; every other instance runs its Body (sched.Run).
+func Simulate(inst Instance, cfg sched.Config) []sched.Result {
+	cfg.N, cfg.Body, cfg.AfterStep, cfg.Spaces = inst.N(), inst.Body, inst.Clock(), inst.Probeables()
+	if t, ok := inst.(*Tight); ok {
+		return sched.RunMachine(cfg, t.step)
+	}
+	return sched.Run(cfg)
 }
 
 // RunNative executes the instance on real goroutines (no adversary, wall

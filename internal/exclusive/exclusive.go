@@ -49,6 +49,7 @@ package exclusive
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"shmrename/internal/registry"
@@ -217,8 +218,17 @@ func (a *Arena) tryLock(p *shm.Proc) bool {
 // O(1) registers long.
 func (a *Arena) lock(p *shm.Proc) {
 	for !a.tryLock(p) {
+		backOff()
 	}
 }
+
+// backOff follows a failed climb. On real cores the match was lost to a
+// proc that holds part of the tournament and may be preempted; yielding
+// the processor lets it run, where spinning on through the time slice
+// would spend ~2.5M steps per 10 ms of it — most of the 2^22 default step
+// budget. Under the simulator the scheduler orders every step itself, so
+// the yield changes no execution.
+func backOff() { runtime.Gosched() }
 
 // unlock exits the tournament: clear this proc's flag on the path from the
 // root back down to its leaf.
@@ -280,6 +290,7 @@ func (a *Arena) NameBound() int { return a.cap }
 func (a *Arena) Acquire(p *shm.Proc) int {
 	for pass := 0; a.cfg.MaxPasses == 0 || pass < a.cfg.MaxPasses; pass++ {
 		if !a.tryLock(p) {
+			backOff()
 			continue
 		}
 		name := a.pop(p)
@@ -296,6 +307,7 @@ func (a *Arena) Acquire(p *shm.Proc) int {
 func (a *Arena) AcquireN(p *shm.Proc, k int, out []int) []int {
 	for pass := 0; k > 0 && (a.cfg.MaxPasses == 0 || pass < a.cfg.MaxPasses); pass++ {
 		if !a.tryLock(p) {
+			backOff()
 			continue
 		}
 		for k > 0 {

@@ -27,9 +27,7 @@ func expE2() Experiment {
 				for t := 0; t < cfg.trials(); t++ {
 					inst := core.NewTight(n, core.TightConfig{SelfClocked: true})
 					rounds = inst.Geometry().Rounds()
-					res := sched.Run(sched.Config{
-						N: n, Seed: cfg.Seed + uint64(t), Fast: sched.FastFIFO, Body: inst.Body,
-					})
+					res := core.Simulate(inst, sched.Config{Seed: cfg.Seed + uint64(t), Fast: sched.FastFIFO})
 					if err := sched.VerifyUnique(res, n); err != nil {
 						panic(fmt.Sprintf("E2 trial %d: %v", t, err))
 					}
@@ -107,9 +105,7 @@ func expE12() Experiment {
 							Geometry: kind, SelfClocked: true,
 						})
 						capFrac = float64(inst.Geometry().ClusterNames) / float64(n)
-						res := sched.Run(sched.Config{
-							N: n, Seed: cfg.Seed + uint64(t), Fast: sched.FastFIFO, Body: inst.Body,
-						})
+						res := core.Simulate(inst, sched.Config{Seed: cfg.Seed + uint64(t), Fast: sched.FastFIFO})
 						if err := sched.VerifyUnique(res, n); err != nil {
 							panic(fmt.Sprintf("E12 %v trial %d: %v", kind, t, err))
 						}

@@ -254,15 +254,13 @@ func (c *Cache) Acquire(p *shm.Proc) int {
 			if c.draining(name) {
 				// A parked claim must not pin a draining level: shed it
 				// to the inner arena and pop the next name instead.
-				c.inner.Release(p, name)
+				c.shed(p, s, name)
 				continue
 			}
 			s.mu.Unlock()
 			return name
 		}
-		name := c.refill(p, s)
-		s.mu.Unlock()
-		if name >= 0 {
+		if name := c.refill(p, s); name >= 0 {
 			return name
 		}
 	}
@@ -282,8 +280,12 @@ func (c *Cache) Acquire(p *shm.Proc) int {
 }
 
 // refill leases one block from the inner arena into the (locked, empty)
-// slot, returning one name of it or -1 when the inner arena served none.
+// slot and unlocks it, returning one name of the block or -1 when the
+// inner arena served none. The unlock is deferred: a StepLimit or Crash
+// panic unwinding from the inner arena must not leave the slot locked,
+// or the next Flush or purge blocks forever.
 func (c *Cache) refill(p *shm.Proc, s *slot) int {
+	defer s.mu.Unlock()
 	got := c.inner.AcquireN(p, c.cfg.Block, s.names[:0])
 	if len(got) == 0 {
 		s.names = got
@@ -319,7 +321,7 @@ func (c *Cache) steal(p *shm.Proc) int {
 				continue // unaccounted name: drop it, never grant
 			}
 			if c.draining(name) {
-				c.inner.Release(p, name)
+				c.shed(p, s, name)
 				continue
 			}
 			s.mu.Unlock()
@@ -329,6 +331,22 @@ func (c *Cache) steal(p *shm.Proc) int {
 		s.mu.Unlock()
 	}
 	return -1
+}
+
+// shed returns a draining name, just popped from the locked slot s, to
+// the inner arena. s stays locked, except when a StepLimit or Crash panic
+// unwinds from the inner arena: then s is unlocked on the way out, so the
+// slot outlives the unwound proc. Only draining names take this path; the
+// cache-hit pop defers nothing.
+func (c *Cache) shed(p *shm.Proc, s *slot, name int) {
+	unwinding := true
+	defer func() {
+		if unwinding {
+			s.mu.Unlock()
+		}
+	}()
+	c.inner.Release(p, name)
+	unwinding = false
 }
 
 // relieve consumes one unit of the pressure window.
@@ -425,7 +443,7 @@ func (c *Cache) AcquireN(p *shm.Proc, k int, out []int) []int {
 				continue // unaccounted name: drop it, never grant
 			}
 			if c.draining(name) {
-				c.inner.Release(p, name)
+				c.shed(p, s, name)
 				continue
 			}
 			out = append(out, name)

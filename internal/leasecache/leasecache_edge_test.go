@@ -4,6 +4,10 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"shmrename/internal/prng"
+	"shmrename/internal/shm"
 )
 
 // TestPressureWindowBoundary pins the exact extent of the pressure window:
@@ -151,5 +155,55 @@ func TestSiblingStealRaceStorm(t *testing.T) {
 	c.Flush(proc(workers))
 	if h, parked := inner.Held(), c.Cached(); h != 0 || parked != 0 {
 		t.Fatalf("after flush: inner holds %d, cache parks %d, want 0/0", h, parked)
+	}
+}
+
+// TestStepLimitInRefillReleasesSlot: a proc whose step budget runs out
+// inside a refill unwinds with a StepLimit panic from the inner arena.
+// The slot lock must not leak with it — Flush would block forever — and
+// the cache's books must still balance after the unwind.
+func TestStepLimitInRefillReleasesSlot(t *testing.T) {
+	c, inner := newSharded(256, 1, Config{Block: 64, Slots: 1})
+	p := proc(0)
+	for range 64 { // one block, all granted: the slot's stack is empty
+		if c.Acquire(p) < 0 {
+			t.Fatal("acquire failed")
+		}
+	}
+
+	limited := shm.NewProc(1, prng.NewStream(7, 1), nil, 1)
+	limited.Step(shm.Op{}) // budget spent: the refill's first step panics
+	func() {
+		defer func() {
+			if _, ok := recover().(shm.StepLimit); !ok {
+				t.Fatal("acquire did not unwind with a StepLimit panic")
+			}
+		}()
+		c.Acquire(limited)
+	}()
+
+	flushed := make(chan int, 1)
+	go func() { flushed <- c.Flush(proc(2)) }()
+	select {
+	case <-flushed:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Flush blocked: the unwound refill leaked the slot lock")
+	}
+	if got := c.Cached(); got != 0 {
+		t.Fatalf("%d names still cached after Flush", got)
+	}
+	if got := inner.Held(); got != 64 {
+		t.Fatalf("inner arena holds %d names, want the 64 granted ones", got)
+	}
+	if got := c.Held(); got != 64 {
+		t.Fatalf("cache reports %d held, want 64", got)
+	}
+	// The slot is usable again: the next acquire refills through it.
+	refills, _, _ := c.Stats()
+	if c.Acquire(proc(3)) < 0 {
+		t.Fatal("acquire after the unwind failed")
+	}
+	if now, _, _ := c.Stats(); now != refills+1 {
+		t.Fatalf("refills %d -> %d: the acquire did not go through the slot", refills, now)
 	}
 }

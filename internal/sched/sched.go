@@ -12,15 +12,24 @@
 // the adversary enjoys the full adaptivity the model grants: it sees the
 // state of all processes before every scheduling decision.
 //
-// Cost model (see PERF.md for measurements): a granted step is two
+// The oblivious fast schedules (FastFIFO, FastRandom) need no pending set,
+// so a program written as a step machine (Machine, one shared-memory
+// operation per call) runs without coroutines: RunMachine grants a step
+// by calling the machine on a gateless Proc. One schedule loop (runFast)
+// produces the grant order for both runners; they differ only in how a
+// grant is delivered, so a machine run grants, counts and ends exactly as
+// the coroutine run of its Body form (Drive).
+//
+// Cost model (see PERF.md for measurements): a coroutine grant is two
 // coroutine switches — resume into the process, yield back at its next
 // operation — with no channel operations, no goroutine scheduler
-// involvement, and no allocation. The policy path keeps a dense PID-indexed
-// slot array plus an incrementally maintained pending view: re-parking the
-// granted process is an O(1) in-place update, and the only O(live) work is
-// the single removal when a process finishes, which happens once per
-// process per run. Earlier revisions parked processes on per-step channel
-// round-trips; the coroutine runner removed that constant entirely.
+// involvement, and no allocation; a machine grant is a plain call. The
+// policy path keeps a dense PID-indexed slot array plus an incrementally
+// maintained pending view: re-parking the granted process is an O(1)
+// in-place update, and the only O(live) work is the single removal when a
+// process finishes, which happens once per process per run. Earlier
+// revisions parked processes on per-step channel round-trips; the
+// coroutine runner removed that constant entirely.
 //
 // The package also provides a native runner that executes the same process
 // bodies on real goroutines with no gating, for wall-clock benchmarks.
@@ -341,7 +350,7 @@ func Run(cfg Config) []Result {
 	}
 
 	if cfg.Policy == nil && cfg.Fast != FastOff {
-		res := runFast(cfg, states)
+		res := runFast(cfg, coroutines(states))
 		putStates(states)
 		return res
 	}
@@ -415,41 +424,55 @@ func Run(cfg Config) []Result {
 	return results
 }
 
+// grantee is how a fast schedule's grants reach the processes. The
+// schedule loop (runFast) decides the grant order; a grantee only delivers
+// grants: the coroutine runner resumes a parked coroutine, the machine
+// runner calls one machine step. Both report a process that finished with
+// its result.
+type grantee interface {
+	// activate runs process pid up to its first operation and reports
+	// whether it parked there; FastRandom activates every process before
+	// the first grant.
+	activate(pid int) (Result, bool)
+	// grant grants pid its next operation — with all, every operation it
+	// has left — and reports whether it parked again. Under FastFIFO,
+	// which activates no process up front, it activates pid first.
+	grant(pid int32, all bool) (Result, bool)
+}
+
 // runFast is the O(1)-per-grant scheduling loop used by FastFIFO and
-// FastRandom. The queue holds bare PIDs — the fast schedules are oblivious
-// to operation targets — and the FIFO path is a direct handoff: grant,
-// stack-switch into the process, read its transition, re-enqueue.
-func runFast(cfg Config, states []procState) []Result {
+// FastRandom, shared by both runners. The queue holds bare PIDs — the
+// fast schedules are oblivious to operation targets.
+func runFast(cfg Config, g grantee) []Result {
 	var (
 		queue   = make([]int32, 0, cfg.N)
 		head    = 0
-		grants  = 0
-		results = make([]Result, 0, cfg.N)
+		done    = 0
+		results = make([]Result, cfg.N)
 		rng     = prng.NewStream(cfg.Seed, -7)
 	)
 
 	if cfg.Fast == FastFIFO {
 		// Lazy start: the FIFO schedule's first round is PIDs 0..N-1
 		// regardless of operation targets, so processes are not activated
-		// up front. A process's first grant instead carries one step of
-		// credit, merging its activation with its first granted operation
-		// in a single resume — two coroutine switches saved per process.
-		// The grant order of shared-memory operations is identical to an
-		// eager settle-then-grant schedule.
-		for pid := range states {
+		// up front; a process's first grant activates it as well. The
+		// grant order of shared-memory operations is identical to an eager
+		// settle-then-grant schedule.
+		for pid := range cfg.N {
 			queue = append(queue, int32(pid))
 		}
 	} else {
-		for pid := range states {
-			if _, parked := states[pid].runner.next(); parked {
+		for pid := range cfg.N {
+			if res, parked := g.activate(pid); parked {
 				queue = append(queue, int32(pid))
 			} else {
-				results = append(results, states[pid].runner.res)
+				results[pid] = res
+				done++
 			}
 		}
 	}
 
-	for len(results) < cfg.N {
+	for done < cfg.N {
 		var pid int32
 		switch cfg.Fast {
 		case FastFIFO:
@@ -464,27 +487,44 @@ func runFast(cfg Config, states []procState) []Result {
 		default:
 			panic("sched: unknown fast mode")
 		}
-		r := &states[pid].runner
-		if cfg.AfterStep == nil && head == len(queue) {
-			// Sole live process: the rest of the schedule is all its, so
-			// run it to completion in one resume (only when no per-step
-			// hook must fire).
-			r.credit = int64(^uint64(0) >> 1)
-		} else if cfg.Fast == FastFIFO && grants < cfg.N {
-			r.credit = 1 // lazy start: activation + first operation
-		}
-		grants++
-		if r.resume(true) {
+		// Sole live process: the rest of the schedule is all its, so it
+		// runs to completion in one grant (only when no per-step hook
+		// must fire).
+		all := cfg.AfterStep == nil && head == len(queue)
+		if res, parked := g.grant(pid, all); parked {
 			queue = append(queue, pid)
 		} else {
-			results = append(results, r.res)
+			results[pid] = res
+			done++
 		}
 		if cfg.AfterStep != nil {
 			cfg.AfterStep()
 		}
 	}
-	sort.Slice(results, func(i, j int) bool { return results[i].PID < results[j].PID })
 	return results
+}
+
+// coroutines delivers fast-schedule grants by resuming coroutines.
+type coroutines []procState
+
+func (c coroutines) activate(pid int) (Result, bool) {
+	r := &c[pid].runner
+	_, parked := r.next()
+	return r.res, parked
+}
+
+func (c coroutines) grant(pid int32, all bool) (Result, bool) {
+	r := &c[pid].runner
+	if all {
+		r.credit = int64(^uint64(0) >> 1)
+	} else if r.yield == nil {
+		// Not yet started (FIFO's lazy start): one step of credit merges
+		// the activation with the first granted operation in a single
+		// resume — two coroutine switches saved per process.
+		r.credit = 1
+	}
+	parked := r.resume(true)
+	return r.res, parked
 }
 
 // compactFIFO reclaims the consumed prefix of the FIFO queue once it

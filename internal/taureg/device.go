@@ -141,15 +141,15 @@ func (d *Device) widthMask() uint64 {
 // immediately lost) and true if p provisionally holds the bit; p must then
 // call Resolve until the outcome is decided. One step.
 func (d *Device) RequestBit(p *shm.Proc, b int) bool {
-	ok, _ := d.request(p, b)
+	ok, _ := d.Request(p, b)
 	return ok
 }
 
-// request is RequestBit plus the epoch token of the freshly set bit,
+// Request is RequestBit plus the epoch token of the freshly set bit,
 // captured atomically with the set (both under the device mutex, which
-// also serializes the cycle/release epoch bumps). AcquireBit resolves
-// against the token.
-func (d *Device) request(p *shm.Proc, b int) (bool, uint32) {
+// also serializes the cycle/release epoch bumps). The requester resolves
+// against the token with ResolveStep. One step.
+func (d *Device) Request(p *shm.Proc, b int) (bool, uint32) {
 	d.checkBit(b)
 	p.Step(shm.Op{Kind: shm.OpTAS, Space: d.id, Index: int32(b)})
 	mask := uint64(1) << b
@@ -196,22 +196,32 @@ func (d *Device) peek(b int) Outcome {
 // is epoch-checked, so under long-lived use (ReleaseBit) a request that
 // was trimmed is Lost even if another process has since won the same bit.
 func (d *Device) AcquireBit(p *shm.Proc, b int) Outcome {
-	ok, tok := d.request(p, b)
+	ok, tok := d.Request(p, b)
 	if !ok {
 		return Lost
 	}
 	for {
-		p.Step(shm.Op{Kind: shm.OpRead, Space: d.id, Index: int32(b)})
-		if d.selfClocked {
-			if o := d.peekTok(b, tok); o != Pending {
-				return o
-			}
-			d.Cycle()
-		}
-		if o := d.peekTok(b, tok); o != Pending {
+		if o := d.ResolveStep(p, b, tok); o != Pending {
 			return o
 		}
 	}
+}
+
+// ResolveStep is one resolve of AcquireBit's loop: it reads the device
+// registers for the request identified by (b, tok) — the token Request
+// returned — and reports Won, Lost or Pending. One step. On a
+// self-clocked device a pending request triggers a clock cycle before the
+// decision, so it resolves in this step.
+func (d *Device) ResolveStep(p *shm.Proc, b int, tok uint32) Outcome {
+	d.checkBit(b)
+	p.Step(shm.Op{Kind: shm.OpRead, Space: d.id, Index: int32(b)})
+	if d.selfClocked {
+		if o := d.peekTok(b, tok); o != Pending {
+			return o
+		}
+		d.Cycle()
+	}
+	return d.peekTok(b, tok)
 }
 
 // peekTok inspects the registers for the request identified by (b, tok)

@@ -21,10 +21,10 @@ func TestTrimmedRequestNeverAdoptsLaterWinner(t *testing.T) {
 
 	// P0 and P1 request concurrently; the cycle confirms the lowest bit
 	// (P0) and trims P1's request away.
-	if ok, _ := d.request(p0, 0); !ok {
+	if ok, _ := d.Request(p0, 0); !ok {
 		t.Fatal("p0 request failed")
 	}
-	ok, tok1 := d.request(p1, 1)
+	ok, tok1 := d.Request(p1, 1)
 	if !ok {
 		t.Fatal("p1 request failed")
 	}
@@ -35,7 +35,7 @@ func TestTrimmedRequestNeverAdoptsLaterWinner(t *testing.T) {
 	// P1 has NOT resolved yet. The winner releases, reopening the device,
 	// and P2 re-requests the very bit P1 was trimmed from and wins it.
 	d.ReleaseBit(p0, 0)
-	ok, tok2 := d.request(p2, 1)
+	ok, tok2 := d.Request(p2, 1)
 	if !ok {
 		t.Fatal("p2 request failed")
 	}

@@ -228,13 +228,7 @@ func buildInstance(cfg Config) (core.Instance, error) {
 }
 
 func runSimulated(inst core.Instance, cfg Config) ([]sched.Result, error) {
-	simCfg := sched.Config{
-		N:         inst.N(),
-		Seed:      cfg.Seed,
-		Body:      inst.Body,
-		AfterStep: inst.Clock(),
-		Spaces:    inst.Probeables(),
-	}
+	simCfg := sched.Config{Seed: cfg.Seed}
 	var policy sched.Policy
 	switch cfg.Schedule {
 	case "", "fifo":
@@ -267,5 +261,5 @@ func runSimulated(inst core.Instance, cfg Config) ([]sched.Result, error) {
 		policy = sched.WithCrashes(policy, plan)
 	}
 	simCfg.Policy = policy
-	return sched.Run(simCfg), nil
+	return core.Simulate(inst, simCfg), nil
 }
