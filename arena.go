@@ -17,7 +17,6 @@ import (
 	"shmrename/internal/recovery"
 	"shmrename/internal/registry"
 	_ "shmrename/internal/registry/all" // link every backend's registration
-	"shmrename/internal/sharded"
 	"shmrename/internal/shm"
 )
 
@@ -47,7 +46,7 @@ const (
 	// ArenaBackendSharded is the striped multicore frontend: the name
 	// space is partitioned across ArenaConfig.Shards level-array
 	// sub-arenas, each goroutine keeps a cached home-shard affinity, and a
-	// full home shard overflows to ArenaConfig.StealProbes neighbor shards
+	// full home shard overflows to two randomly chosen neighbor shards
 	// before a deterministic full sweep. Issued names stay within the
 	// shards × per-shard-bound tightness envelope (see NameBound).
 	ArenaBackendSharded ArenaBackend = "sharded"
@@ -80,15 +79,14 @@ type ArenaConfig struct {
 	// to serve (required, >= 1). More may be admitted on a best-effort
 	// basis; see Arena.Acquire.
 	Capacity int
-	// Backend defaults to ArenaLevel. Besides the named constants, any
-	// backend registered with the in-process backend registry resolves by
-	// its registry name (e.g. "lease-cached"); registry backends take only
-	// Capacity and Lease — the named-backend tuning knobs (Probes, Probe,
-	// Shards, StealProbes, LeaseBlocks) are config errors with them.
+	// Backend defaults to ArenaLevel (ArenaElastic when Elastic is set).
+	// Every backend, the named constants included, is built by the
+	// in-process backend registry, so any registered backend also resolves
+	// by its registry name (e.g. "lease-cached"). Backends outside the
+	// named constants fix their own claim engine and caching: Probe,
+	// Shards, and LeaseBlocks are config errors with them, and Elastic is
+	// one unless the backend declares the registry's Elastic capability.
 	Backend ArenaBackend
-	// Probes tunes the per-level random probe count (ArenaLevel) or the
-	// random device-attempt count (ArenaTau). 0 selects the default.
-	Probes int
 	// Shards is the stripe count of the sharded backend: the arena is
 	// partitioned into Shards independent sub-arenas so concurrent
 	// Acquire/Release traffic scales with cores. Only meaningful with
@@ -96,11 +94,6 @@ type ArenaConfig struct {
 	// error). 0 selects GOMAXPROCS clamped to [1, Capacity]; explicit
 	// values must lie in [1, Capacity].
 	Shards int
-	// StealProbes bounds the work-stealing probes of the sharded backend:
-	// how many randomly chosen neighbor shards an acquire tries after its
-	// home shard reports full, before falling back to a full sweep. Only
-	// meaningful with ArenaBackendSharded. 0 selects the default (2).
-	StealProbes int
 	// Probe selects the slot-search granularity: ProbeWord (the default)
 	// or ProbeBit. See the ProbeMode constants.
 	Probe ProbeMode
@@ -363,16 +356,16 @@ type Arena struct {
 	// ArenaConfig.LeaseBlocks is set (impl aliases it then); nil otherwise.
 	cache *leasecache.Cache
 	// Crash-recovery state; all nil/zero when ArenaConfig.Lease is nil.
-	rec        longlived.Recoverable
-	holder     uint64
-	epochs     shm.EpochSource
-	sweeper    *recovery.Sweeper
-	stopReaper func()
-	closer     func() error // extra teardown (mmap-backed arenas)
-	closed     atomic.Bool
-	// Self-healing state; all nil when ArenaConfig.Integrity is nil.
-	scrubber  *integrity.Scrubber
-	stopScrub func()
+	rec     longlived.Recoverable
+	holder  uint64
+	epochs  shm.EpochSource
+	sweeper *recovery.Sweeper
+	// teardown lists the layers' Close steps in wiring order: cache flush,
+	// reaper, scrubber, then (mmap-backed arenas) the namespace detach.
+	teardown []func() error
+	closed   atomic.Bool
+	// Self-healing state; nil when ArenaConfig.Integrity is nil.
+	scrubber *integrity.Scrubber
 	// corrupted latches the first conservation-violation description: the
 	// sticky ErrCorrupted source checked by every mutating operation.
 	corrupted atomic.Pointer[string]
@@ -517,14 +510,11 @@ func NewArena(cfg ArenaConfig) (*Arena, error) {
 	if cfg.Capacity >= 1<<29 {
 		return nil, fmt.Errorf("shmrename: ArenaConfig.Capacity must be < 2^29, got %d", cfg.Capacity)
 	}
-	if cfg.Probes < 0 {
-		return nil, fmt.Errorf("shmrename: ArenaConfig.Probes must be >= 0, got %d", cfg.Probes)
-	}
-	var wordScan bool
+	scan := "word"
 	switch cfg.Probe {
 	case ProbeAuto, ProbeWord:
-		wordScan = true
 	case ProbeBit:
+		scan = "bit"
 	default:
 		return nil, fmt.Errorf("shmrename: unknown ArenaConfig.Probe mode %q (want %q or %q)",
 			cfg.Probe, ProbeWord, ProbeBit)
@@ -532,18 +522,15 @@ func NewArena(cfg ArenaConfig) (*Arena, error) {
 	if cfg.LeaseBlocks < 0 || cfg.LeaseBlocks > 64 {
 		return nil, fmt.Errorf("shmrename: ArenaConfig.LeaseBlocks must lie in [0, 64], got %d", cfg.LeaseBlocks)
 	}
-	if cfg.LeaseBlocks > 0 && !wordScan {
+	if cfg.LeaseBlocks > 0 && scan == "bit" {
 		return nil, fmt.Errorf("shmrename: ArenaConfig.LeaseBlocks leases whole bitmap words and requires the word-granular claim engine; it cannot combine with Probe %q", ProbeBit)
 	}
-	if cfg.Backend != ArenaBackendSharded {
-		if cfg.Shards != 0 {
-			return nil, fmt.Errorf("shmrename: ArenaConfig.Shards is only meaningful with the %q backend, got Shards=%d with backend %q",
-				ArenaBackendSharded, cfg.Shards, cfg.Backend)
-		}
-		if cfg.StealProbes != 0 {
-			return nil, fmt.Errorf("shmrename: ArenaConfig.StealProbes is only meaningful with the %q backend, got StealProbes=%d with backend %q",
-				ArenaBackendSharded, cfg.StealProbes, cfg.Backend)
-		}
+	if cfg.Backend != ArenaBackendSharded && cfg.Shards != 0 {
+		return nil, fmt.Errorf("shmrename: ArenaConfig.Shards is only meaningful with the %q backend, got Shards=%d with backend %q",
+			ArenaBackendSharded, cfg.Shards, cfg.Backend)
+	}
+	if cfg.Shards < 0 || cfg.Shards > cfg.Capacity {
+		return nil, fmt.Errorf("shmrename: ArenaConfig.Shards must lie in [1, Capacity=%d], got %d", cfg.Capacity, cfg.Shards)
 	}
 	if cfg.Integrity != nil {
 		if err := cfg.Integrity.validate(); err != nil {
@@ -556,17 +543,19 @@ func NewArena(cfg ArenaConfig) (*Arena, error) {
 	// The elastic policy resolves its growth ceiling up front: the ladder
 	// shape is provisioned for buildCap, residency starts near MinCapacity.
 	buildCap := cfg.Capacity
+	var elastic *registry.ElasticParams
 	if cfg.Elastic != nil {
 		var err error
 		if buildCap, err = cfg.Elastic.validate(cfg.Capacity); err != nil {
 			return nil, err
 		}
+		elastic = cfg.Elastic.params()
 	}
 	// The lease layer stamps every claim with this handle's holder
 	// identity (the process ID), so Heartbeat renews all of the handle's
 	// names at once and the handle — not individual goroutines — is the
 	// recovery unit.
-	var lease *longlived.LeaseOpts
+	var epochs shm.EpochSource
 	var holder uint64
 	if cfg.Lease != nil {
 		if err := cfg.Lease.validate(); err != nil {
@@ -581,119 +570,85 @@ func NewArena(cfg ArenaConfig) (*Arena, error) {
 		if holder < 1 || holder > shm.MaxHolder {
 			holder = holder%shm.MaxHolder + 1
 		}
-		lease = &longlived.LeaseOpts{
-			Epochs: shm.WallEpochs{},
-			Holder: func(*shm.Proc) uint64 { return holder },
-		}
+		epochs = shm.WallEpochs{}
 	}
-	var impl longlived.Arena
-	switch cfg.Backend {
-	case "", ArenaLevel, ArenaElastic:
-		// One ladder: pinned unless elastic residency was asked for.
-		var e *registry.ElasticParams
-		if cfg.Elastic != nil {
-			e = cfg.Elastic.params()
-		} else if cfg.Backend == ArenaElastic {
-			e = &registry.ElasticParams{}
-		}
-		impl = longlived.NewLadder(buildCap, longlived.ElasticConfig{
-			Probes:    cfg.Probes,
-			MaxPasses: acquirePasses,
-			WordScan:  wordScan,
-			Padded:    true,
-			Lease:     lease,
-		}, e)
-	case ArenaTau:
-		if cfg.Elastic != nil {
-			return nil, fmt.Errorf("shmrename: ArenaConfig.Elastic is not supported by the %q backend (its counting devices are fixed-shape); use %q or %q",
-				ArenaTau, ArenaLevel, ArenaBackendSharded)
-		}
-		impl = longlived.NewTau(cfg.Capacity, longlived.TauConfig{
-			Probes:      cfg.Probes,
-			MaxPasses:   acquirePasses,
-			WordScan:    wordScan,
-			SelfClocked: true,
-			Padded:      true,
-			Lease:       lease,
-		})
+	// Every backend is a registry backend: the default is the level
+	// ladder, and the level ladder under an elastic policy is the elastic
+	// ladder. A backend added to internal/registry/all is constructible
+	// here by its registry name.
+	name := cfg.Backend
+	if name == "" {
+		name = ArenaLevel
+	}
+	if name == ArenaLevel && cfg.Elastic != nil {
+		name = ArenaElastic
+	}
+	b, ok := registry.Lookup(string(name))
+	if !ok {
+		return nil, fmt.Errorf("shmrename: unknown arena backend %q", cfg.Backend)
+	}
+	if b.Caps.External {
+		return nil, fmt.Errorf("shmrename: backend %q is backed by external state; open it with OpenArena", name)
+	}
+	if b.Caps.DenseProcs {
+		return nil, fmt.Errorf("shmrename: backend %q requires densely numbered process contexts (the simulated-harness model); it is not constructible behind the pooled-proc NewArena surface", name)
+	}
+	// The sharded frontend stripes elastic sub-ladders without declaring
+	// the registry's Elastic capability, which selects whole-ladder resize
+	// laws and experiment rows.
+	if cfg.Elastic != nil && !b.Caps.Elastic && name != ArenaBackendSharded {
+		return nil, fmt.Errorf("shmrename: ArenaConfig.Elastic is not supported by the %q backend; use %q or %q",
+			name, ArenaLevel, ArenaBackendSharded)
+	}
+	shards := cfg.Shards
+	switch name {
+	case ArenaLevel, ArenaElastic, ArenaTau:
 	case ArenaBackendSharded:
-		shards := cfg.Shards
-		if shards < 0 || shards > cfg.Capacity {
-			return nil, fmt.Errorf("shmrename: ArenaConfig.Shards must lie in [1, Capacity=%d], got %d", cfg.Capacity, shards)
-		}
 		if shards == 0 {
-			shards = runtime.GOMAXPROCS(0)
-			if shards > cfg.Capacity {
-				shards = cfg.Capacity
-			}
+			shards = min(runtime.GOMAXPROCS(0), cfg.Capacity)
 		}
-		if cfg.StealProbes < 0 {
-			return nil, fmt.Errorf("shmrename: ArenaConfig.StealProbes must be >= 0, got %d", cfg.StealProbes)
-		}
-		scfg := sharded.Config{
-			Shards:      shards,
-			StealProbes: cfg.StealProbes,
-			MaxPasses:   acquirePasses,
-			Probes:      cfg.Probes,
-			WordScan:    wordScan,
-			Padded:      true,
-			Lease:       lease,
-		}
-		if cfg.Elastic != nil {
-			scfg.Elastic = cfg.Elastic.params()
-		}
-		impl = sharded.New(buildCap, scfg)
 	default:
-		// Any other name resolves through the backend registry, so a backend
-		// added to internal/registry/all is immediately constructible here.
-		// Registry backends take only the common construction surface: the
-		// named-backend tuning knobs cannot be forwarded and are config
-		// errors rather than silent no-ops.
-		b, ok := registry.Lookup(string(cfg.Backend))
-		if !ok {
-			return nil, fmt.Errorf("shmrename: unknown arena backend %q", cfg.Backend)
+		// Registry-only backends fix their own claim engine and caching.
+		if cfg.Probe != ProbeAuto || cfg.LeaseBlocks != 0 {
+			return nil, fmt.Errorf("shmrename: ArenaConfig.Probe/LeaseBlocks do not apply to registry backend %q", name)
 		}
-		if b.Caps.External {
-			return nil, fmt.Errorf("shmrename: backend %q is backed by external state; open it with OpenArena", cfg.Backend)
-		}
-		if b.Caps.DenseProcs {
-			return nil, fmt.Errorf("shmrename: backend %q requires densely numbered process contexts (the simulated-harness model); it is not constructible behind the pooled-proc NewArena surface", cfg.Backend)
-		}
-		if cfg.Probes != 0 || cfg.Probe != ProbeAuto || cfg.LeaseBlocks != 0 {
-			return nil, fmt.Errorf("shmrename: ArenaConfig.Probes/Probe/LeaseBlocks do not apply to registry backend %q", cfg.Backend)
-		}
-		if cfg.Elastic != nil && !b.Caps.Elastic {
-			return nil, fmt.Errorf("shmrename: registry backend %q does not declare the Elastic capability; ArenaConfig.Elastic does not apply", cfg.Backend)
-		}
-		rcfg := registry.Config{Capacity: buildCap, MaxPasses: acquirePasses}
-		if cfg.Elastic != nil {
-			rcfg.Elastic = cfg.Elastic.params()
-		}
-		if cfg.Lease != nil {
-			rcfg.Epochs = shm.WallEpochs{}
-			rcfg.Holder = holder
-		}
-		impl = b.New(rcfg)
 	}
-	var cache *leasecache.Cache
+	impl := b.New(registry.Config{
+		Capacity:  buildCap,
+		MaxPasses: acquirePasses,
+		Scan:      scan,
+		Padded:    true,
+		Shards:    shards,
+		Elastic:   elastic,
+		Epochs:    epochs,
+		Holder:    holder,
+	})
+	a := &Arena{impl: impl, seed: cfg.Seed}
 	if cfg.LeaseBlocks > 0 {
-		cache = leasecache.New(impl, leasecache.Config{Block: cfg.LeaseBlocks})
-		impl = cache
+		a.cache = leasecache.New(impl, leasecache.Config{Block: cfg.LeaseBlocks})
+		a.impl = a.cache
+		// Return every parked name to the backend so nothing dangles as a
+		// claimed-but-unheld lease after an orderly shutdown.
+		a.atClose(func() error {
+			p := a.proc()
+			a.cache.Flush(p)
+			a.procs.Put(p)
+			return nil
+		})
 	}
-	a := &Arena{impl: impl, cache: cache, seed: cfg.Seed}
 	if cfg.Lease != nil {
-		rec, ok := impl.(longlived.Recoverable)
+		rec, ok := a.impl.(longlived.Recoverable)
 		if !ok {
-			return nil, fmt.Errorf("shmrename: backend %q does not support leases", cfg.Backend)
+			return nil, fmt.Errorf("shmrename: backend %q does not support leases", name)
 		}
-		a.initLease(rec, holder, shm.WallEpochs{},
+		a.initLease(rec, holder, epochs,
 			recovery.NewSweeper(rec, recovery.Config{
 				TTL:    cfg.Lease.ttlEpochs(),
-				Epochs: shm.WallEpochs{},
+				Epochs: epochs,
 				Alive:  cfg.Lease.Alive,
 			}), cfg.Lease.Reaper)
 		if cfg.Integrity != nil {
-			a.initIntegrity(cfg.Integrity, cfg.Lease.ttlEpochs(), shm.WallEpochs{})
+			a.initIntegrity(cfg.Integrity, cfg.Lease.ttlEpochs(), epochs)
 		}
 	}
 	return a, nil
@@ -719,7 +674,7 @@ func (a *Arena) initIntegrity(cfg *IntegrityConfig, ttl uint64, ep shm.EpochSour
 	}
 	a.scrubber = integrity.NewScrubber(a.rec, icfg)
 	if cfg.ScrubInterval > 0 {
-		a.stopScrub = a.scrubber.Run(a.proc(), cfg.ScrubInterval)
+		a.atClose(stopFunc(a.scrubber.Run(a.proc(), cfg.ScrubInterval)))
 	}
 }
 
@@ -731,7 +686,19 @@ func (a *Arena) initLease(rec longlived.Recoverable, holder uint64, ep shm.Epoch
 	a.epochs = ep
 	a.sweeper = sw
 	if reaper > 0 {
-		a.stopReaper = sw.Reaper(a.proc(), reaper)
+		a.atClose(stopFunc(sw.Reaper(a.proc(), reaper)))
+	}
+}
+
+// atClose appends a layer's teardown step; Close runs the steps in the
+// order the layers were wired.
+func (a *Arena) atClose(f func() error) { a.teardown = append(a.teardown, f) }
+
+// stopFunc adapts a background loop's stop function to a teardown step.
+func stopFunc(stop func()) func() error {
+	return func() error {
+		stop()
+		return nil
 	}
 }
 
@@ -1038,21 +1005,9 @@ func (a *Arena) Close() error {
 	if !a.closed.CompareAndSwap(false, true) {
 		return nil
 	}
-	if a.cache != nil {
-		// Return every parked name to the backend so nothing dangles as a
-		// claimed-but-unheld lease after an orderly shutdown.
-		p := a.proc()
-		a.cache.Flush(p)
-		a.procs.Put(p)
+	var errs []error
+	for _, f := range a.teardown {
+		errs = append(errs, f())
 	}
-	if a.stopReaper != nil {
-		a.stopReaper()
-	}
-	if a.stopScrub != nil {
-		a.stopScrub()
-	}
-	if a.closer != nil {
-		return a.closer()
-	}
-	return nil
+	return errors.Join(errs...)
 }

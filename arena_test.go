@@ -161,16 +161,20 @@ func TestNewArenaConfigErrors(t *testing.T) {
 		{Capacity: -3},
 		{Capacity: 1 << 29},
 		{Capacity: 8, Backend: "warp-array"},
-		{Capacity: 8, Probes: -1},
 		{Capacity: 8, Probe: "nibble"},
 		// Sharded-backend knob validation.
 		{Capacity: 8, Backend: ArenaBackendSharded, Shards: -1},
 		{Capacity: 8, Backend: ArenaBackendSharded, Shards: 9},
-		{Capacity: 8, Backend: ArenaBackendSharded, StealProbes: -1},
 		// Sharded knobs rejected on non-sharded backends.
 		{Capacity: 8, Shards: 2},
 		{Capacity: 8, Backend: ArenaTau, Shards: 2},
-		{Capacity: 8, Backend: ArenaLevel, StealProbes: 1},
+		// Named-backend knobs rejected on the registry-only lease-cached
+		// backend.
+		{Capacity: 256, Backend: "lease-cached", Probe: ProbeWord},
+		{Capacity: 256, Backend: "lease-cached", Probe: ProbeBit},
+		{Capacity: 256, Backend: "lease-cached", LeaseBlocks: 64},
+		{Capacity: 256, Backend: "lease-cached", Shards: 2},
+		{Capacity: 256, Backend: "lease-cached", Elastic: &ElasticConfig{}},
 	}
 	for i, cfg := range cases {
 		if _, err := NewArena(cfg); err == nil {

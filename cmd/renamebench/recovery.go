@@ -8,19 +8,25 @@ import (
 	"time"
 
 	"shmrename"
+	"shmrename/internal/registry"
 )
 
 // runRecoverySmoke is the native crash-recovery smoke behind
 // -recovery-smoke: real goroutines abandon held names on every in-process
-// backend and the lease sweep must return them to the pool, then an
-// mmap-backed arena is detached with names held and a second handle must
-// recover them. It is the fast end-to-end complement of the deterministic
-// E18 fault-injection experiment — seconds of wall time, suitable for CI.
+// leasable backend and the lease sweep must return them to the pool, then
+// an mmap-backed arena is detached with names held and a second handle
+// must recover them. It is the fast end-to-end complement of the
+// deterministic E18 fault-injection experiment — seconds of wall time,
+// suitable for CI.
 func runRecoverySmoke(seed uint64) error {
-	for _, backend := range []shmrename.ArenaBackend{
-		shmrename.ArenaLevel, shmrename.ArenaTau, shmrename.ArenaBackendSharded,
-	} {
-		if err := smokeBackend(backend, seed); err != nil {
+	for _, b := range registry.All() {
+		// External arenas are the mmap half below; dense-proc backends are
+		// not constructible through NewArena; caching layers park names a
+		// sweep of held leases cannot account for exactly.
+		if c := b.Caps; !c.Leasable || c.External || c.DenseProcs || c.Cached {
+			continue
+		}
+		if err := smokeBackend(shmrename.ArenaBackend(b.Name), seed); err != nil {
 			return err
 		}
 	}

@@ -80,7 +80,7 @@
 //	})
 //
 // Acquire tries the caller's cached home shard first (one bounded pass),
-// then steals from ArenaConfig.StealProbes randomly chosen other shards,
+// then steals from two randomly chosen other shards,
 // and finally sweeps all shards deterministically — so the termination
 // and safety contracts match the single-backend arena exactly, while
 // disjoint shards keep concurrent claimers on disjoint cache lines and

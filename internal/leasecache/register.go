@@ -1,9 +1,8 @@
 package leasecache
 
 import (
-	"shmrename/internal/longlived"
 	"shmrename/internal/registry"
-	"shmrename/internal/sharded"
+	_ "shmrename/internal/sharded" // registers the inner frontend
 )
 
 func init() {
@@ -24,25 +23,13 @@ func init() {
 			SelfHealing: true,
 		},
 		New: func(cfg registry.Config) registry.Arena {
-			// The production shape ArenaConfig.LeaseBlocks wires: per-worker
-			// word-block caches over the word-scan sharded frontend.
-			shards := 4
-			if shards > cfg.Capacity {
-				shards = cfg.Capacity
-			}
-			block := 64
-			if block > cfg.Capacity {
-				block = cfg.Capacity
-			}
-			inner := sharded.New(cfg.Capacity, sharded.Config{
-				Shards:    shards,
-				MaxPasses: cfg.MaxPasses,
-				WordScan:  true,
-				Padded:    true,
-				Lease:     longlived.Lease(cfg),
-				Label:     cfg.Label,
-			})
-			return New(inner, Config{Block: block})
+			// Per-worker word-block caches over the registered sharded
+			// frontend in its default shape: the deterministic stripe
+			// count, the word-scan engine, fixed shards.
+			sharded, _ := registry.Lookup("sharded")
+			inner := cfg
+			inner.Shards, inner.Scan, inner.Elastic = 0, "word", nil
+			return New(sharded.New(inner), Config{Block: min(64, cfg.Capacity)})
 		},
 	})
 }

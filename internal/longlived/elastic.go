@@ -127,6 +127,10 @@ type ElasticArena struct {
 	grows, shrinks, cancels atomic.Int64
 }
 
+// levelProbes is the number of random probes per active level before the
+// deterministic backstop.
+const levelProbes = 4
+
 // Level object states. The zero value is active so a freshly installed
 // level serves claims immediately.
 const (
@@ -166,9 +170,6 @@ type ElasticConfig struct {
 	// ShrinkAfter is the number of consecutive shrink-eligible release
 	// observations before a drain starts. Default 128.
 	ShrinkAfter int
-	// Probes is the number of random probes per active level before the
-	// deterministic backstop. Default 4.
-	Probes int
 	// Base is the size of the smallest level. Default 64.
 	Base int
 	// MaxPasses bounds full Acquire passes before reporting the arena
@@ -211,9 +212,6 @@ type LevelArena = ElasticArena
 type LevelConfig = ElasticConfig
 
 func (c *ElasticConfig) fill() {
-	if c.Probes <= 0 {
-		c.Probes = 4
-	}
 	if c.Base <= 0 {
 		c.Base = 64
 	}
@@ -402,10 +400,10 @@ func (a *ElasticArena) Label() string {
 		scan = "word"
 	}
 	if a.pinned {
-		return fmt.Sprintf("level-array(levels=%d,probes=%d,scan=%s)", len(a.levels), a.cfg.Probes, scan)
+		return fmt.Sprintf("level-array(levels=%d,probes=%d,scan=%s)", len(a.levels), levelProbes, scan)
 	}
 	return fmt.Sprintf("elastic-level(levels=%d/%d,probes=%d,scan=%s)",
-		a.activeLevels(), len(a.levels), a.cfg.Probes, scan)
+		a.activeLevels(), len(a.levels), levelProbes, scan)
 }
 
 // Capacity implements Arena: the guarantee, reached through growth.
@@ -688,7 +686,7 @@ func (a *ElasticArena) Acquire(p *shm.Proc) int {
 			}
 			if a.cfg.WordScan {
 				words := lvl.space.Words()
-				for t := 0; t < a.cfg.Probes; t++ {
+				for t := 0; t < levelProbes; t++ {
 					w := r.Intn(words)
 					if lvl.space.WordSaturated(w) {
 						continue
@@ -700,7 +698,7 @@ func (a *ElasticArena) Acquire(p *shm.Proc) int {
 					}
 				}
 			} else {
-				for t := 0; t < a.cfg.Probes; t++ {
+				for t := 0; t < levelProbes; t++ {
 					i := r.Intn(lvl.size)
 					if claim(p, lvl.space, i, stamp) {
 						if name, ok := a.granted(p, lvl, i); ok {
@@ -884,7 +882,7 @@ func (a *ElasticArena) AcquireN(p *shm.Proc, k int, out []int) []int {
 				continue
 			}
 			words := lvl.space.Words()
-			for t := 0; k > 0 && t < a.cfg.Probes; t++ {
+			for t := 0; k > 0 && t < levelProbes; t++ {
 				w := r.Intn(words)
 				if lvl.space.WordSaturated(w) {
 					continue

@@ -17,9 +17,6 @@ type TauConfig struct {
 	// Tau is the per-device confirmation threshold and block size (the
 	// paper's τ = log n). Default Width/2. Must satisfy 1 <= Tau <= Width.
 	Tau int
-	// Probes is the number of random (device, bit) acquisition attempts
-	// before the deterministic fallback sweep. Default Width.
-	Probes int
 	// MaxPasses bounds fallback sweep passes before reporting the arena
 	// full; 0 means unlimited.
 	MaxPasses int
@@ -67,9 +64,6 @@ func (c *TauConfig) fill(capacity int) {
 	}
 	if c.Tau > c.Width {
 		panic(fmt.Sprintf("longlived: tau %d exceeds width %d", c.Tau, c.Width))
-	}
-	if c.Probes <= 0 {
-		c.Probes = c.Width
 	}
 	if c.Label == "" {
 		c.Label = "tauarena"
@@ -183,7 +177,8 @@ func (a *TauArena) Acquire(p *shm.Proc) int {
 	stamp := a.leaseStamp(p)
 	r := p.Rand()
 	nd := len(a.devices)
-	for t := 0; t < a.cfg.Probes; t++ {
+	// Width random (device, bit) attempts before the fallback sweep.
+	for t := 0; t < a.cfg.Width; t++ {
 		d := r.Intn(nd)
 		b := r.Intn(a.cfg.Width)
 		if a.devices[d].AcquireBit(p, b) == taureg.Won {

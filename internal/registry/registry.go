@@ -222,8 +222,10 @@ type Config struct {
 	// engine ignore it. The word-vs-bit experiment sweeps this dimension
 	// across registry backends instead of hand-wiring twin constructors.
 	Scan string
-	// Padded, when true, pads shared words to cache-line stride on backends
-	// that support it (native multicore runs); simulated runs leave it false.
+	// Padded, when true, pads shared words to cache-line stride (native
+	// multicore runs); simulated runs leave it false. The level, elastic,
+	// and τ backends honor it; sharded and lease-cached are native-first
+	// frontends that always pad; the others ignore it.
 	Padded bool
 	// Shards overrides the stripe count of sharded frontends; 0 selects the
 	// backend default. Unsharded backends ignore it.

@@ -13,6 +13,12 @@ import (
 // E18 fault-injection shape.
 const registryShards = 4
 
+// The registered constructor is also the production shape behind
+// shmrename.NewArena's sharded backend, which resolves its GOMAXPROCS
+// default into Config.Shards first. It forwards Config.Elastic to the
+// sub-ladders without declaring Caps.Elastic: elastic stripes are a public
+// arena option, not a shape the registry's resize laws and adaptivity rows
+// sweep.
 func init() {
 	registry.Register(registry.Backend{
 		Name: "sharded",
@@ -39,6 +45,7 @@ func init() {
 				WordScan:  cfg.Scan != "bit",
 				Padded:    true,
 				Lease:     longlived.Lease(cfg),
+				Elastic:   cfg.Elastic,
 				Label:     cfg.Label,
 			})
 		},

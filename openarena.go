@@ -27,10 +27,10 @@ import (
 // re-grantable immediately. Call Heartbeat more often than once per TTL
 // while holding names, and Close to detach.
 //
-// The persisted namespace is a flat bitmap: cfg.Backend, Shards,
-// StealProbes, Probes, and Elastic must be zero — cross-process churn is
-// dominated by page coherence, not probe schedules, and a flat map with a
-// fixed on-disk geometry keeps every attach trivially checkable.
+// The persisted namespace is a flat bitmap: cfg.Backend, Shards, and
+// Elastic must be zero — cross-process churn is dominated by page
+// coherence, not probe schedules, and a flat map with a fixed on-disk
+// geometry keeps every attach trivially checkable.
 func OpenArena(path string, cfg ArenaConfig) (*Arena, error) {
 	if cfg.Capacity < 1 {
 		return nil, errors.New("shmrename: ArenaConfig.Capacity must be >= 1")
@@ -38,8 +38,8 @@ func OpenArena(path string, cfg ArenaConfig) (*Arena, error) {
 	if cfg.Backend != "" {
 		return nil, fmt.Errorf("shmrename: OpenArena namespaces are flat; Backend %q is not configurable", cfg.Backend)
 	}
-	if cfg.Shards != 0 || cfg.StealProbes != 0 || cfg.Probes != 0 {
-		return nil, fmt.Errorf("shmrename: OpenArena namespaces are flat; Shards/StealProbes/Probes are not configurable")
+	if cfg.Shards != 0 {
+		return nil, fmt.Errorf("shmrename: OpenArena namespaces are flat; Shards is not configurable")
 	}
 	if cfg.Elastic != nil {
 		// The mmap'd file's geometry (header-checked on every attach) is
@@ -80,7 +80,6 @@ func OpenArena(path string, cfg ArenaConfig) (*Arena, error) {
 		return nil, err
 	}
 	a := &Arena{impl: pa, seed: cfg.Seed}
-	a.closer = pa.Close
 	a.initLease(pa, pa.Holder(), shm.WallEpochs{}, pa.Sweeper(), lease.Reaper)
 	if cfg.Integrity != nil {
 		// Quarantine marks live in the file's stamp page, so a quarantine
@@ -88,5 +87,6 @@ func OpenArena(path string, cfg ArenaConfig) (*Arena, error) {
 		// recognizes the damaged words and keeps them out of circulation.
 		a.initIntegrity(cfg.Integrity, lease.ttlEpochs(), shm.WallEpochs{})
 	}
+	a.atClose(pa.Close)
 	return a, nil
 }

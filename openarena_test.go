@@ -79,8 +79,6 @@ func TestOpenArenaValidation(t *testing.T) {
 		{Capacity: 64, Backend: ArenaLevel},
 		{Capacity: 64, Backend: ArenaBackendSharded},
 		{Capacity: 64, Shards: 2},
-		{Capacity: 64, StealProbes: 1},
-		{Capacity: 64, Probes: 3},
 		{Capacity: 64, Probe: ProbeBit},
 		{Capacity: 64, Lease: &LeaseConfig{}},                  // TTL unset
 		{Capacity: 64, Lease: &LeaseConfig{TTL: -time.Second}}, // negative

@@ -13,9 +13,9 @@ import (
 // (the pooled public proc contexts violate their model), and no caching
 // layers (their parked names break the tests' exact held-count oracles;
 // the conformance suite covers them with cache-aware laws). Today the
-// enumeration yields level-array, tau-longlived, and sharded — and a new
-// backend registering with those capabilities joins every storm, lease,
-// and batch test with no edits to their loops.
+// enumeration yields elastic-level, level-array, sharded, and
+// tau-longlived — and a new backend registering with those capabilities
+// joins every storm, lease, and batch test with no edits to their loops.
 func stormBackends() []ArenaBackend {
 	var out []ArenaBackend
 	for _, b := range registry.All() {
@@ -35,15 +35,19 @@ func defaultAndStormBackends() []ArenaBackend {
 }
 
 // TestStormBackendsRoster pins that the roster stays in sync with the
-// public constants: each named constant must appear (the constants resolve
-// to registered backends), so a registry rename cannot silently drop a
+// public constants: every named constant must resolve through
+// registry.Lookup (NewArena builds every backend there) and appear in the
+// roster, so a registry rename cannot silently break a constant or drop a
 // backend from the storm coverage.
 func TestStormBackendsRoster(t *testing.T) {
 	got := map[ArenaBackend]bool{}
 	for _, b := range stormBackends() {
 		got[b] = true
 	}
-	for _, want := range []ArenaBackend{ArenaLevel, ArenaTau, ArenaBackendSharded} {
+	for _, want := range []ArenaBackend{ArenaLevel, ArenaTau, ArenaElastic, ArenaBackendSharded} {
+		if _, ok := registry.Lookup(string(want)); !ok {
+			t.Errorf("constant %q is not a registered backend", want)
+		}
 		if !got[want] {
 			t.Errorf("stormBackends missing %q; roster %v", want, stormBackends())
 		}
