@@ -8,8 +8,6 @@ package main
 // the file with -bench1 and must not regress it.
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -58,64 +56,13 @@ var seedBaseline = []bench1Baseline{
 	{Name: "BenchmarkE5Corollary7/n=16384,l=2", NsPerOp: 129.2e6, AllocsPerOp: 92565, BytesPerOp: 10706264},
 }
 
-// stepsTolerance is the allowed relative growth of steps/proc-max against
-// a baseline trajectory before -bench1-against reports a regression. Steps
-// are deterministic per seed, but the per-point mean is taken over however
-// many iterations testing.Benchmark chooses, so a small slack absorbs the
-// seed-set difference; a real regression (an extra probe round, a broken
-// fallback) moves the metric far beyond it.
-const stepsTolerance = 0.05
-
-// compareBench1 checks the freshly measured trajectory against a baseline
-// BENCH_1.json: steps/proc-max may not grow beyond the tolerance at any
-// (exp, n) point present in both. Wall-clock deltas are advisory only —
-// printed, never failed on, since CI machines vary.
-func compareBench1(cur bench1File, againstPath string) error {
-	data, err := os.ReadFile(againstPath)
-	if err != nil {
-		return fmt.Errorf("bench1: reading baseline: %w", err)
+// cells gates steps/proc-max per (exp, n) point.
+func (f bench1File) cells() []cell {
+	var out []cell
+	for _, p := range f.Results {
+		out = append(out, cell{"steps/proc-max", fmt.Sprintf("%s n=%d", p.Exp, p.N), p.StepsPerProcMax})
 	}
-	var base bench1File
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("bench1: parsing baseline %s: %w", againstPath, err)
-	}
-	type key struct {
-		exp string
-		n   int
-	}
-	baseline := make(map[key]bench1Point, len(base.Results))
-	for _, p := range base.Results {
-		baseline[key{p.Exp, p.N}] = p
-	}
-	var regressions []string
-	compared := 0
-	for _, p := range cur.Results {
-		b, ok := baseline[key{p.Exp, p.N}]
-		if !ok {
-			continue
-		}
-		compared++
-		if p.StepsPerProcMax > b.StepsPerProcMax*(1+stepsTolerance) {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s n=%d: steps/proc-max %.1f exceeds baseline %.1f by more than %.0f%%",
-				p.Exp, p.N, p.StepsPerProcMax, b.StepsPerProcMax, stepsTolerance*100))
-		}
-		fmt.Fprintf(os.Stderr, "bench1: %s n=%d vs baseline: steps %.1f/%.1f, wall %.1f/%.1fms (advisory)\n",
-			p.Exp, p.N, p.StepsPerProcMax, b.StepsPerProcMax, p.NsPerOp/1e6, b.NsPerOp/1e6)
-	}
-	if compared == 0 {
-		return fmt.Errorf("bench1: no overlapping (exp, n) points between measurement and baseline %s", againstPath)
-	}
-	if len(regressions) > 0 {
-		msg := "bench1: steps/proc-max regressed vs " + againstPath
-		for _, r := range regressions {
-			msg += "\n  " + r
-		}
-		return errors.New(msg)
-	}
-	fmt.Fprintf(os.Stderr, "bench1: %d points within %.0f%% of baseline %s\n",
-		compared, stepsTolerance*100, againstPath)
-	return nil
+	return out
 }
 
 // runBench1 measures the current tree, writes the JSON file, and — when
@@ -125,11 +72,8 @@ func runBench1(path string, seed uint64, maxExp int, against string) error {
 	if maxExp < 10 || maxExp > 24 || maxExp%2 != 0 {
 		return fmt.Errorf("bench1: -bench1-maxexp %d must be even and within [10,24] (sweeps run n = 2^10, 2^12, .. 2^maxexp)", maxExp)
 	}
-	// Fail on an unwritable path now, not after minutes of measurement.
-	if f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644); err != nil {
+	if err := probeWritable(path); err != nil {
 		return err
-	} else {
-		f.Close()
 	}
 	out := bench1File{
 		Description: "simulated hot-path trajectory: E2 (tight, Theorem 5) and E5 (Corollary 7) under FastFIFO; regenerate with: renamebench -bench1 " + path,
@@ -198,15 +142,12 @@ func runBench1(path string, seed uint64, maxExp int, against string) error {
 		return fmt.Errorf("bench1: fresh 2^20 space reports %d claimed", got)
 	}
 
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := writeJSON(path, out); err != nil {
 		return err
 	}
 	if against != "" {
-		return compareBench1(out, against)
+		_, err := checkBaseline("bench1", out, against)
+		return err
 	}
 	return nil
 }

@@ -9,15 +9,12 @@ package main
 // its steps-per-acquire column.
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"runtime"
 	"testing"
 
 	"shmrename/internal/longlived"
-	"shmrename/internal/sched"
 )
 
 // bench2Point is one measured (backend, n) churn cell.
@@ -43,65 +40,13 @@ type bench2File struct {
 	Results     []bench2Point `json:"results"`
 }
 
-// bench2StepsTolerance is the allowed relative growth of steps/acquire
-// against a baseline trajectory before -bench2-against reports a
-// regression. Steps are deterministic per seed, but the per-point mean is
-// taken over however many iterations testing.Benchmark chooses, so the
-// slack absorbs the seed-set difference; the regression class this gate
-// exists for — an extra probe round, a broken fallback, a word path
-// accidentally wired into the canonical probe workload — moves the metric
-// tens of percent.
-const bench2StepsTolerance = 0.10
-
-// compareBench2 checks a fresh churn trajectory against a baseline
-// BENCH_2.json: steps/acquire may not grow beyond the tolerance at any
-// (backend, n) point present in both. Wall clock is advisory only.
-func compareBench2(cur bench2File, againstPath string) error {
-	data, err := os.ReadFile(againstPath)
-	if err != nil {
-		return fmt.Errorf("bench2: reading baseline: %w", err)
+// cells gates steps/acquire per (backend, n) point.
+func (f bench2File) cells() []cell {
+	var out []cell
+	for _, p := range f.Results {
+		out = append(out, cell{"steps/acquire", fmt.Sprintf("%s n=%d", p.Backend, p.N), p.StepsPerAcquire})
 	}
-	var base bench2File
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("bench2: parsing baseline %s: %w", againstPath, err)
-	}
-	type key struct {
-		backend string
-		n       int
-	}
-	baseline := make(map[key]bench2Point, len(base.Results))
-	for _, p := range base.Results {
-		baseline[key{p.Backend, p.N}] = p
-	}
-	var regressions []string
-	compared := 0
-	for _, p := range cur.Results {
-		b, ok := baseline[key{p.Backend, p.N}]
-		if !ok {
-			continue
-		}
-		compared++
-		if p.StepsPerAcquire > b.StepsPerAcquire*(1+bench2StepsTolerance) {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s n=%d: steps/acquire %.2f exceeds baseline %.2f by more than %.0f%%",
-				p.Backend, p.N, p.StepsPerAcquire, b.StepsPerAcquire, bench2StepsTolerance*100))
-		}
-		fmt.Fprintf(os.Stderr, "bench2: %s n=%d vs baseline: steps %.2f/%.2f, wall %.1f/%.1fms (advisory)\n",
-			p.Backend, p.N, p.StepsPerAcquire, b.StepsPerAcquire, p.NsPerOp/1e6, b.NsPerOp/1e6)
-	}
-	if compared == 0 {
-		return fmt.Errorf("bench2: no overlapping (backend, n) points between measurement and baseline %s", againstPath)
-	}
-	if len(regressions) > 0 {
-		msg := "bench2: steps/acquire regressed vs " + againstPath
-		for _, r := range regressions {
-			msg += "\n  " + r
-		}
-		return errors.New(msg)
-	}
-	fmt.Fprintf(os.Stderr, "bench2: %d points within %.0f%% of baseline %s\n",
-		compared, bench2StepsTolerance*100, againstPath)
-	return nil
+	return out
 }
 
 // runBench2 measures the churn workload, writes the JSON file, and — when
@@ -111,10 +56,8 @@ func runBench2(path string, seed uint64, maxExp int, against string) error {
 	if maxExp < 8 || maxExp > 20 || maxExp%2 != 0 {
 		return fmt.Errorf("bench2: -bench2-maxexp %d must be even and within [8,20] (sweeps run n = 2^8, 2^10, .. 2^maxexp)", maxExp)
 	}
-	if f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644); err != nil {
+	if err := probeWritable(path); err != nil {
 		return err
-	} else {
-		f.Close()
 	}
 	out := bench2File{
 		Description: "long-lived churn trajectory: k=n/4 workers acquire/hold/release on a capacity-n arena under FastFIFO; regenerate with: renamebench -bench2 " + path,
@@ -132,34 +75,14 @@ func runBench2(path string, seed uint64, maxExp int, against string) error {
 			if n > out.MaxN {
 				out.MaxN = n
 			}
-			var steps float64
-			var maxName, maxActive int64
-			iters := 0
+			var tally simTally
 			r := testing.Benchmark(func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					arena := w.Make(n)
 					mon := longlived.NewMonitor(arena.NameBound())
-					sched.Run(sched.Config{
-						N:         k,
-						Seed:      seed + uint64(i),
-						Fast:      sched.FastFIFO,
-						Body:      longlived.ChurnBody(arena, mon, churn),
-						AfterStep: arena.Clock(),
-					})
-					if err := mon.Err(); err != nil {
+					if err := tally.run(arena, mon, k, seed+uint64(i), longlived.ChurnBody(arena, mon, churn)); err != nil {
 						panic(fmt.Sprintf("bench2 %s n=%d: %v", w.Name, n, err))
 					}
-					if held := arena.Held(); held != 0 {
-						panic(fmt.Sprintf("bench2 %s n=%d: %d names held after drain", w.Name, n, held))
-					}
-					steps += mon.StepsPerAcquire()
-					if m := mon.MaxName(); m > maxName {
-						maxName = m
-					}
-					if a := mon.MaxActive(); a > maxActive {
-						maxActive = a
-					}
-					iters++
 				}
 			})
 			p := bench2Point{
@@ -168,9 +91,9 @@ func runBench2(path string, seed uint64, maxExp int, against string) error {
 				K:               k,
 				Cycles:          churn.Cycles,
 				NsPerOp:         float64(r.NsPerOp()),
-				StepsPerAcquire: steps / float64(iters),
-				MaxName:         maxName,
-				MaxActive:       maxActive,
+				StepsPerAcquire: tally.stepsPerAcquire(),
+				MaxName:         tally.maxName,
+				MaxActive:       tally.maxActive,
 				AllocsPerOp:     r.AllocsPerOp(),
 				BytesPerOp:      r.AllocedBytesPerOp(),
 			}
@@ -180,15 +103,12 @@ func runBench2(path string, seed uint64, maxExp int, against string) error {
 		}
 	}
 
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := writeJSON(path, out); err != nil {
 		return err
 	}
 	if against != "" {
-		return compareBench2(out, against)
+		_, err := checkBaseline("bench2", out, against)
+		return err
 	}
 	return nil
 }

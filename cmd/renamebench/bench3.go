@@ -19,14 +19,9 @@ package main
 // on the steps column via -bench3-against.
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"shmrename"
 )
@@ -86,158 +81,15 @@ func bench3Cycles(g int) int {
 	return c
 }
 
-// bench3Cell measures one tightly provisioned arena configuration: G
-// goroutines on a capacity-G arena, each cycling acquire / yield-while-
-// holding / release.
-func bench3Cell(cfg shmrename.ArenaConfig, g int) (bench3Point, error) {
-	cycles := bench3Cycles(g)
-	p := bench3Point{
-		Backend:    string(cfg.Backend),
-		Shards:     cfg.Shards,
-		Goroutines: g,
-		Capacity:   cfg.Capacity,
-		Cycles:     cycles,
+// cells gates steps/acquire per (backend, shards, goroutines) cell at the
+// file's GOMAXPROCS.
+func (f bench3File) cells() []cell {
+	var out []cell
+	for _, p := range f.Results {
+		out = append(out, cell{"steps/acquire", fmt.Sprintf("%s shards=%d g=%d gomaxprocs=%d",
+			p.Backend, p.Shards, p.Goroutines, f.GoMaxProcs), p.StepsPerAcquire})
 	}
-	if p.Backend == "" {
-		p.Backend = string(shmrename.ArenaLevel)
-	}
-	var best time.Duration
-	for run := 0; run < bench3Runs; run++ {
-		arena, err := shmrename.NewArena(cfg)
-		if err != nil {
-			return p, err
-		}
-		p.NameBound = arena.NameBound()
-		var maxName, fullRetries atomic.Int64
-		var firstErr atomic.Pointer[error]
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < g; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				top := int64(-1)
-				for c := 0; c < cycles; c++ {
-					var n int
-					for {
-						var err error
-						n, err = arena.Acquire()
-						if err == nil {
-							break
-						}
-						// Transient full under racing churn: back off and
-						// retry; it is counted, not fatal.
-						fullRetries.Add(1)
-						runtime.Gosched()
-					}
-					if int64(n) > top {
-						top = int64(n)
-					}
-					runtime.Gosched() // hold the name while others run
-					if err := arena.Release(n); err != nil {
-						firstErr.CompareAndSwap(nil, &err)
-						return
-					}
-				}
-				for {
-					cur := maxName.Load()
-					if top <= cur || maxName.CompareAndSwap(cur, top) {
-						break
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		if e := firstErr.Load(); e != nil {
-			return p, *e
-		}
-		if held := arena.Held(); held != 0 {
-			return p, fmt.Errorf("%d names held after drain", held)
-		}
-		if run == 0 || elapsed < best {
-			best = elapsed
-			// Rate fields describe the recorded (best) run only.
-			p.FullRetries = fullRetries.Load()
-			if st := arena.Stats(); st.Acquires > 0 {
-				p.StepsPerAcquire = float64(st.AcquireSteps) / float64(st.Acquires)
-			}
-		}
-		if m := maxName.Load(); m > p.MaxName {
-			p.MaxName = m
-		}
-	}
-	p.Acquires = int64(g) * int64(cycles)
-	p.NsPerAcquire = float64(best.Nanoseconds()) / float64(p.Acquires)
-	p.KAcqPerSec = float64(p.Acquires) / best.Seconds() / 1e3
-	return p, nil
-}
-
-// bench3StepsTolerance and bench3StepsSlack bound the allowed growth of
-// native steps/acquire against a baseline: regression iff
-// cur > base*(1+tolerance) + slack. Native step counts depend on how the
-// scheduler interleaves the churn (core count, load), so the bounds are
-// generous — near-full occupancy the absolute values are small, and the
-// regression class this gate catches (a disabled fast path, an extra scan
-// round) multiplies the metric rather than nudging it.
-const (
-	bench3StepsTolerance = 0.35
-	bench3StepsSlack     = 1.0
-)
-
-// compareBench3 checks a fresh native sweep against a baseline
-// BENCH_3.json: steps/acquire may not grow beyond tolerance-plus-slack at
-// any (backend, shards, goroutines) point present in both. Points whose
-// baseline predates the steps column (zero value) are skipped. Wall clock
-// is advisory only — CI machines vary.
-func compareBench3(cur bench3File, againstPath string) error {
-	data, err := os.ReadFile(againstPath)
-	if err != nil {
-		return fmt.Errorf("bench3: reading baseline: %w", err)
-	}
-	var base bench3File
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("bench3: parsing baseline %s: %w", againstPath, err)
-	}
-	type key struct {
-		backend    string
-		shards     int
-		goroutines int
-	}
-	baseline := make(map[key]bench3Point, len(base.Results))
-	for _, p := range base.Results {
-		baseline[key{p.Backend, p.Shards, p.Goroutines}] = p
-	}
-	var regressions []string
-	compared := 0
-	for _, p := range cur.Results {
-		b, ok := baseline[key{p.Backend, p.Shards, p.Goroutines}]
-		if !ok || b.StepsPerAcquire == 0 {
-			continue
-		}
-		compared++
-		if p.StepsPerAcquire > b.StepsPerAcquire*(1+bench3StepsTolerance)+bench3StepsSlack {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s shards=%d g=%d: steps/acquire %.2f exceeds baseline %.2f beyond %.0f%%+%.1f",
-				p.Backend, p.Shards, p.Goroutines, p.StepsPerAcquire, b.StepsPerAcquire,
-				bench3StepsTolerance*100, bench3StepsSlack))
-		}
-		fmt.Fprintf(os.Stderr, "bench3: %s shards=%d g=%d vs baseline: steps %.2f/%.2f, %8.1f/%8.1f kacq/s (advisory)\n",
-			p.Backend, p.Shards, p.Goroutines, p.StepsPerAcquire, b.StepsPerAcquire, p.KAcqPerSec, b.KAcqPerSec)
-	}
-	if compared == 0 {
-		return fmt.Errorf("bench3: no overlapping comparable points between measurement and baseline %s", againstPath)
-	}
-	if len(regressions) > 0 {
-		msg := "bench3: steps/acquire regressed vs " + againstPath
-		for _, r := range regressions {
-			msg += "\n  " + r
-		}
-		return errors.New(msg)
-	}
-	fmt.Fprintf(os.Stderr, "bench3: %d points within %.0f%%+%.1f of baseline %s\n",
-		compared, bench3StepsTolerance*100, bench3StepsSlack, againstPath)
-	return nil
+	return out
 }
 
 // runBench3 measures the native scalability sweep, writes the JSON file,
@@ -246,6 +98,9 @@ func compareBench3(cur bench3File, againstPath string) error {
 func runBench3(path string, seed uint64, maxG int, against string) error {
 	if maxG < 4 || maxG > 4096 {
 		return fmt.Errorf("bench3: -bench3-maxg %d must lie in [4, 4096]", maxG)
+	}
+	if err := probeWritable(path); err != nil {
+		return err
 	}
 	out := bench3File{
 		Description: fmt.Sprintf("native arena scalability under tight provisioning: G goroutines churn a capacity-G arena (acquire/yield/release), single level-array backend vs the sharded frontend sweeping shard counts; best of %d runs per cell; regenerate with: renamebench -bench3 %s", bench3Runs, path),
@@ -277,7 +132,7 @@ func runBench3(path string, seed uint64, maxG int, against string) error {
 			})
 		}
 		for _, cfg := range cells {
-			p, err := bench3Cell(cfg, g)
+			p, err := bench3Cell(cfg, g, bench3Runs, bench3Cycles(g))
 			if err != nil {
 				return fmt.Errorf("bench3 %s shards=%d g=%d: %w", cfg.Backend, cfg.Shards, g, err)
 			}
@@ -302,15 +157,12 @@ func runBench3(path string, seed uint64, maxG int, against string) error {
 			Speedup:     bestKAcqS[g] / single[g],
 		})
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := writeJSON(path, out); err != nil {
 		return err
 	}
 	if against != "" {
-		return compareBench3(out, against)
+		_, err := checkBaseline("bench3", out, against)
+		return err
 	}
 	return nil
 }

@@ -19,17 +19,12 @@ package main
 // fingerprint tests pin that the probe path itself stayed bit-identical.
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
-	"sync/atomic"
-	"time"
 
 	"shmrename"
 	"shmrename/internal/longlived"
-	"shmrename/internal/sched"
 )
 
 // bench4SimPoint is one deterministic (backend, scan, n, batch) cell.
@@ -91,7 +86,7 @@ func bench4Sim(backend string, wordScan bool, n, batch int, seed uint64) bench4S
 	k := n / batch
 	p := bench4SimPoint{Backend: backend, Scan: scan, N: n, Batch: batch, Workers: k}
 	churn := longlived.ChurnConfig{Cycles: 4, HoldMin: 0, HoldMax: 8}
-	var steps float64
+	var tally simTally
 	for t := 0; t < bench4SimTrials; t++ {
 		var arena longlived.Arena
 		switch backend {
@@ -103,102 +98,31 @@ func bench4Sim(backend string, wordScan bool, n, batch int, seed uint64) bench4S
 			panic("bench4: unknown backend " + backend)
 		}
 		mon := longlived.NewMonitor(arena.NameBound())
-		sched.Run(sched.Config{
-			N:         k,
-			Seed:      seed + uint64(t),
-			Fast:      sched.FastFIFO,
-			Body:      longlived.BatchChurnBody(arena, mon, churn, batch),
-			AfterStep: arena.Clock(),
-		})
-		if err := mon.Err(); err != nil {
+		if err := tally.run(arena, mon, k, seed+uint64(t), longlived.BatchChurnBody(arena, mon, churn, batch)); err != nil {
 			panic(fmt.Sprintf("bench4 %s/%s n=%d b=%d: %v", backend, scan, n, batch, err))
 		}
-		if held := arena.Held(); held != 0 {
-			panic(fmt.Sprintf("bench4 %s/%s n=%d b=%d: %d names held", backend, scan, n, batch, held))
-		}
-		steps += mon.StepsPerAcquire()
-		if m := mon.MaxName(); m > p.MaxName {
-			p.MaxName = m
-		}
-		if a := mon.MaxActive(); a > p.MaxActive {
-			p.MaxActive = a
-		}
-		p.Acquires += mon.Acquires()
 	}
-	p.StepsPerAcquire = steps / bench4SimTrials
+	p.StepsPerAcquire = tally.stepsPerAcquire()
+	p.MaxName, p.MaxActive, p.Acquires = tally.maxName, tally.maxActive, tally.acquires
 	return p
 }
 
 // bench4NativeRuns is the timed-run count per native cell (best recorded).
 const bench4NativeRuns = 3
 
-// bench4Native measures one native public-API cell: g goroutines churning
-// a capacity-g arena (acquire / yield / release), in the given probe mode.
-func bench4Native(cfg shmrename.ArenaConfig, g int) (bench4NativePoint, error) {
-	cycles := 1 << 15 / g
-	if cycles < 128 {
-		cycles = 128
+// bench4Cycles sizes a native cell's per-worker cycle count.
+func bench4Cycles(g int) int {
+	c := 1 << 15 / g
+	if c < 128 {
+		c = 128
 	}
-	p := bench4NativePoint{
-		Backend:    string(cfg.Backend),
-		Probe:      string(cfg.Probe),
-		Shards:     cfg.Shards,
-		Goroutines: g,
-		Cycles:     cycles,
-	}
-	if p.Backend == "" {
-		p.Backend = string(shmrename.ArenaLevel)
-	}
-	var best time.Duration
-	for run := 0; run < bench4NativeRuns; run++ {
-		arena, err := shmrename.NewArena(cfg)
-		if err != nil {
-			return p, err
-		}
-		var firstErr atomic.Pointer[error]
-		var wg sync.WaitGroup
-		start := time.Now()
-		for w := 0; w < g; w++ {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for c := 0; c < cycles; c++ {
-					var n int
-					for {
-						var err error
-						n, err = arena.Acquire()
-						if err == nil {
-							break
-						}
-						runtime.Gosched()
-					}
-					runtime.Gosched()
-					if err := arena.Release(n); err != nil {
-						firstErr.CompareAndSwap(nil, &err)
-						return
-					}
-				}
-			}()
-		}
-		wg.Wait()
-		elapsed := time.Since(start)
-		if e := firstErr.Load(); e != nil {
-			return p, *e
-		}
-		if held := arena.Held(); held != 0 {
-			return p, fmt.Errorf("%d names held after drain", held)
-		}
-		st := arena.Stats()
-		if run == 0 || elapsed < best {
-			best = elapsed
-			p.StepsPerAcquire = float64(st.AcquireSteps) / float64(st.Acquires)
-		}
-	}
-	acquires := int64(g) * int64(cycles)
-	p.NsPerAcquire = float64(best.Nanoseconds()) / float64(acquires)
-	p.KAcqPerSec = float64(acquires) / best.Seconds() / 1e3
-	return p, nil
+	return c
 }
+
+// bench4ReductionTarget is the headline gate checked at generation time:
+// the level backend's word path must cut the bit path's steps/acquire by
+// at least this factor in every sim cell.
+const bench4ReductionTarget = 2.0
 
 // runBench4 measures the word-engine trajectory and writes the JSON file.
 // It fails when the headline target — >= 2x steps/acquire reduction for
@@ -208,10 +132,8 @@ func runBench4(path string, seed uint64, maxG int) error {
 	if maxG < 4 || maxG > 4096 {
 		return fmt.Errorf("bench4: -bench4-maxg %d must lie in [4, 4096]", maxG)
 	}
-	if f, err := os.OpenFile(path, os.O_CREATE|os.O_WRONLY, 0o644); err != nil {
+	if err := probeWritable(path); err != nil {
 		return err
-	} else {
-		f.Close()
 	}
 	out := bench4File{
 		Description: "word-granular claim engine: sim = deterministic word-vs-bit steps/acquire across batch sizes at full occupancy (k x batch = capacity); native = public-API tight-provisioning churn per probe mode; regenerate with: renamebench -bench4 " + path,
@@ -236,7 +158,7 @@ func runBench4(path string, seed uint64, maxG int) error {
 					Reduction: bit.StepsPerAcquire / word.StepsPerAcquire,
 				}
 				out.Speedups = append(out.Speedups, sp)
-				if backend == "level-array" && sp.Reduction < 2 {
+				if backend == "level-array" && sp.Reduction < bench4ReductionTarget {
 					out.TargetMet = false
 				}
 				fmt.Fprintf(os.Stderr, "bench4: sim %-13s n=%-5d batch=%-3d: %6.2f -> %5.2f steps/acquire (%.1fx)\n",
@@ -252,24 +174,30 @@ func runBench4(path string, seed uint64, maxG int) error {
 			{Capacity: g, Backend: shmrename.ArenaBackendSharded, Shards: 4, Probe: shmrename.ProbeWord, Seed: seed},
 		}
 		for _, cfg := range cells {
-			p, err := bench4Native(cfg, g)
+			c, err := bench3Cell(cfg, g, bench4NativeRuns, bench4Cycles(g))
 			if err != nil {
 				return fmt.Errorf("bench4 %s/%s g=%d: %w", cfg.Backend, cfg.Probe, g, err)
+			}
+			p := bench4NativePoint{
+				Backend:         c.Backend,
+				Probe:           string(cfg.Probe),
+				Shards:          c.Shards,
+				Goroutines:      g,
+				Cycles:          c.Cycles,
+				StepsPerAcquire: c.StepsPerAcquire,
+				NsPerAcquire:    c.NsPerAcquire,
+				KAcqPerSec:      c.KAcqPerSec,
 			}
 			out.Native = append(out.Native, p)
 			fmt.Fprintf(os.Stderr, "bench4: native %-11s probe=%-4s g=%-4d: %6.2f steps/acquire, %8.1f kacq/s\n",
 				p.Backend, p.Probe, g, p.StepsPerAcquire, p.KAcqPerSec)
 		}
 	}
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := writeJSON(path, out); err != nil {
 		return err
 	}
 	if !out.TargetMet {
-		return fmt.Errorf("bench4: level word path below the 2x steps/acquire reduction target (see %s)", path)
+		return fmt.Errorf("bench4: level word path below the %gx steps/acquire reduction target (see %s)", bench4ReductionTarget, path)
 	}
 	return nil
 }

@@ -29,19 +29,14 @@ package main
 //	renamebench -bench5 BENCH_5.json
 //
 // and gate regressions against a same-machine baseline with
-// -bench5-against (tolerance in PERF.md §"Regenerating BENCH_5.json").
+// -bench5-against (tolerance in PERF.md §"Baseline gates").
 
 import (
-	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"runtime"
-	"sync"
-	"time"
 
 	"shmrename"
-	"shmrename/internal/metrics"
 	"shmrename/internal/openloop"
 )
 
@@ -186,65 +181,21 @@ func bench5Open(name string, cfg shmrename.ArenaConfig, shape openloop.Arrival, 
 	}, nil
 }
 
-// bench5Closed measures one closed-loop cell: g goroutines churn the
-// arena holding two names each (acquire, acquire, release, release, with
-// yields between), timing every acquire — retry-until-success included:
-// under tight provisioning peak demand (2g) exceeds capacity, so the wait
-// for another worker's release IS the tail latency — into private
-// histograms merged after the drain.
+// bench5Closed measures one closed-loop cell: g goroutines run the timed
+// hold-two churn. Under tight provisioning peak demand (2g) exceeds
+// capacity, so the wait for another worker's release IS the tail latency.
 func bench5Closed(cell string, cfg shmrename.ArenaConfig, g, opsPerG int) (bench5ClosedPoint, error) {
 	arena, err := shmrename.NewArena(cfg)
 	if err != nil {
 		return bench5ClosedPoint{}, err
 	}
 	defer arena.Close()
-	parts := make([]metrics.Histogram, g)
-	errs := make([]error, g)
-	timedAcquire := func(h *metrics.Histogram) int {
-		start := time.Now()
-		for {
-			n, err := arena.Acquire()
-			if err == nil {
-				h.Record(time.Since(start).Nanoseconds())
-				return n
-			}
-			runtime.Gosched()
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < g; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for op := 0; op < opsPerG; op++ {
-				a := timedAcquire(&parts[w])
-				runtime.Gosched()
-				b := timedAcquire(&parts[w])
-				runtime.Gosched()
-				if err := arena.Release(a); err != nil {
-					errs[w] = err
-					return
-				}
-				runtime.Gosched()
-				if err := arena.Release(b); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return bench5ClosedPoint{}, err
-		}
+	h, err := holdTwoChurn(arena, g, opsPerG)
+	if err != nil {
+		return bench5ClosedPoint{}, err
 	}
 	if held := arena.Held(); held != 0 {
 		return bench5ClosedPoint{}, fmt.Errorf("%s: %d names held after drain", cell, held)
-	}
-	var h metrics.Histogram
-	for w := range parts {
-		h.Merge(&parts[w])
 	}
 	st := arena.Stats()
 	return bench5ClosedPoint{
@@ -261,74 +212,19 @@ func bench5Closed(cell string, cfg shmrename.ArenaConfig, g, opsPerG int) (bench
 	}, nil
 }
 
-// bench5P99Tolerance and bench5P99Slack bound the allowed growth of a p99
-// cell against a baseline: regression iff
-// cur > base*(1+tolerance) + slack. Open-loop p99 folds in queueing and
-// scheduler jitter, so the bounds are deliberately loose — the regression
-// class this gate catches (a disabled fast path, an accidental lock on
-// the acquire path) shifts p99 by an order of magnitude, not 50%.
-const (
-	bench5P99Tolerance = 2.0
-	bench5P99Slack     = 200_000 // ns
-)
-
-// compareBench5 checks a fresh run against a baseline BENCH_5.json: the
-// open-loop and closed-loop p99 cells present in both may not grow beyond
-// tolerance-plus-slack, and the 5x headline target must still hold.
-func compareBench5(cur bench5File, againstPath string) error {
-	data, err := os.ReadFile(againstPath)
-	if err != nil {
-		return fmt.Errorf("bench5: reading baseline: %w", err)
+// cells gates the open-loop p99 per (backend, arrival, rate) and the
+// closed-loop p99 per (cell, goroutines), at the file's GOMAXPROCS.
+func (f bench5File) cells() []cell {
+	var out []cell
+	for _, p := range f.OpenLoop {
+		out = append(out, cell{"p99", fmt.Sprintf("open %s/%s rate=%g gomaxprocs=%d",
+			p.Backend, p.Arrival, p.RatePerSec, f.GoMaxProcs), float64(p.P99Ns)})
 	}
-	var base bench5File
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("bench5: parsing baseline %s: %w", againstPath, err)
+	for _, p := range f.ClosedLoop {
+		out = append(out, cell{"p99", fmt.Sprintf("closed %s g=%d gomaxprocs=%d",
+			p.Cell, p.Goroutines, f.GoMaxProcs), float64(p.P99Ns)})
 	}
-	var regressions []string
-	compared := 0
-	check := func(label string, cur, base int64) {
-		if base == 0 {
-			return
-		}
-		compared++
-		if float64(cur) > float64(base)*(1+bench5P99Tolerance)+bench5P99Slack {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: p99 %dns exceeds baseline %dns beyond %.0f%%+%dns",
-				label, cur, base, bench5P99Tolerance*100, int64(bench5P99Slack)))
-		}
-		fmt.Fprintf(os.Stderr, "bench5: %s vs baseline: p99 %d/%d ns\n", label, cur, base)
-	}
-	baseOpen := map[string]bench5OpenPoint{}
-	for _, p := range base.OpenLoop {
-		baseOpen[p.Backend+"/"+p.Arrival] = p
-	}
-	for _, p := range cur.OpenLoop {
-		if b, ok := baseOpen[p.Backend+"/"+p.Arrival]; ok && b.RatePerSec == p.RatePerSec {
-			check("open "+p.Backend+"/"+p.Arrival, p.P99Ns, b.P99Ns)
-		}
-	}
-	baseClosed := map[string]bench5ClosedPoint{}
-	for _, p := range base.ClosedLoop {
-		baseClosed[p.Cell] = p
-	}
-	for _, p := range cur.ClosedLoop {
-		if b, ok := baseClosed[p.Cell]; ok && b.Goroutines == p.Goroutines {
-			check("closed "+p.Cell, p.P99Ns, b.P99Ns)
-		}
-	}
-	if compared == 0 {
-		return fmt.Errorf("bench5: no overlapping comparable points between measurement and baseline %s", againstPath)
-	}
-	if len(regressions) > 0 {
-		msg := "bench5: p99 regressed vs " + againstPath
-		for _, r := range regressions {
-			msg += "\n  " + r
-		}
-		return errors.New(msg)
-	}
-	fmt.Fprintf(os.Stderr, "bench5: %d p99 cells within %.0f%%+%dns of baseline %s\n",
-		compared, bench5P99Tolerance*100, int64(bench5P99Slack), againstPath)
-	return nil
+	return out
 }
 
 // runBench5 measures the open-loop latency trajectory, writes the JSON
@@ -340,6 +236,9 @@ func runBench5(path string, seed uint64, rate float64, arrivals int, against str
 	}
 	if arrivals < 1000 || arrivals > 1<<22 {
 		return fmt.Errorf("bench5: -bench5-arrivals %d must lie in [1000, %d]", arrivals, 1<<22)
+	}
+	if err := probeWritable(path); err != nil {
+		return err
 	}
 	out := bench5File{
 		Description: "open-loop latency trajectory: open_loop = Poisson/bursty arrival at a fixed rate against the public Arena API, latency from scheduled arrival (coordinated-omission-free); saturation/knees = offered-rate sweep, knee = last rate sustained at >= 90%; closed_loop = per-acquire p99 at g=64 for tight-uncached vs provisioned-uncached vs provisioned word-block lease caches; regenerate with: renamebench -bench5 " + path,
@@ -437,11 +336,7 @@ func runBench5(path string, seed uint64, rate float64, arrivals int, against str
 	fmt.Fprintf(os.Stderr, "bench5: cache p99 improvement vs tight-uncached: %.1fx (target %.0fx)\n",
 		out.P99Improvement, bench5P99Target)
 
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := writeJSON(path, out); err != nil {
 		return err
 	}
 	if !out.TargetMet {
@@ -449,7 +344,8 @@ func runBench5(path string, seed uint64, rate float64, arrivals int, against str
 			out.P99Improvement, bench5P99Target, path)
 	}
 	if against != "" {
-		return compareBench5(out, against)
+		_, err := checkBaseline("bench5", out, against)
+		return err
 	}
 	return nil
 }

@@ -30,10 +30,9 @@ package main
 //	renamebench -bench6 BENCH_6.json
 //
 // and gate regressions against a same-machine baseline with
-// -bench6-against (tolerance in PERF.md §"Regenerating BENCH_6.json").
+// -bench6-against (tolerance in PERF.md §"Baseline gates").
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"os"
@@ -104,17 +103,6 @@ type bench6File struct {
 // of the peak-provisioned fixed arena's.
 const bench6ResidentTarget = 1.0 / 8
 
-// bench6StormTolerance and bench6StormSlack bound the storm p99 against
-// the quiet run of the identical workload: bounded iff
-// storm <= quiet*(1+tolerance) + slack. Forced resizes add revalidation
-// bounces and drain scans, and wall-clock p99 folds in scheduler jitter,
-// so the bound is loose — the failure class it catches is a resize that
-// blocks acquires (lock-like stalls shift p99 by orders of magnitude).
-const (
-	bench6StormTolerance = 3.0
-	bench6StormSlack     = 500_000 // ns
-)
-
 // bench6MinTransitions is the floor on grow+shrink transitions the storm
 // must actually force — below it the "resizes never block acquires" claim
 // was not exercised.
@@ -166,59 +154,6 @@ func bench6Cycles(g int) int {
 	return c
 }
 
-// bench6Churn runs one diurnal phase: g goroutines each churn hold-two
-// cycles (acquire, acquire, release both — peak demand 2g), timing every
-// acquire into private histograms merged after the drain. Acquire errors
-// are retried (the near-full peak phase legitimately races) and counted.
-func bench6Churn(arena *shmrename.Arena, g, cycles int) (metrics.Histogram, int64, error) {
-	parts := make([]metrics.Histogram, g)
-	errs := make([]error, g)
-	var retries atomic.Int64
-	timedAcquire := func(h *metrics.Histogram) int {
-		start := time.Now()
-		for {
-			n, err := arena.Acquire()
-			if err == nil {
-				h.Record(time.Since(start).Nanoseconds())
-				return n
-			}
-			retries.Add(1)
-			runtime.Gosched()
-		}
-	}
-	var wg sync.WaitGroup
-	for w := 0; w < g; w++ {
-		wg.Add(1)
-		go func(w int) {
-			defer wg.Done()
-			for c := 0; c < cycles; c++ {
-				a := timedAcquire(&parts[w])
-				runtime.Gosched()
-				b := timedAcquire(&parts[w])
-				runtime.Gosched()
-				if err := arena.Release(a); err != nil {
-					errs[w] = err
-					return
-				}
-				runtime.Gosched()
-				if err := arena.Release(b); err != nil {
-					errs[w] = err
-					return
-				}
-			}
-		}(w)
-	}
-	wg.Wait()
-	var h metrics.Histogram
-	for w := range parts {
-		if errs[w] != nil {
-			return h, retries.Load(), errs[w]
-		}
-		h.Merge(&parts[w])
-	}
-	return h, retries.Load(), nil
-}
-
 // bench6Diurnal rides one arena variant through the full demand ramp and
 // returns its per-phase cells. The arena persists across phases — the
 // elastic ladder must grow through the up leg and drain through the down
@@ -237,7 +172,7 @@ func bench6Diurnal(name string, cfg shmrename.ArenaConfig, capacity int) ([]benc
 		}
 		cycles := bench6Cycles(g)
 		before := arena.Stats()
-		h, _, err := bench6Churn(arena, g, cycles)
+		h, err := holdTwoChurn(arena, g, cycles)
 		if err != nil {
 			return nil, fmt.Errorf("%s %s k=%d: %w", name, ph.Leg, ph.K, err)
 		}
@@ -332,70 +267,15 @@ func bench6Storm(label string, seed uint64, g, cycles int, antagonize bool) (met
 	return h, [3]int64{grows, shrinks, cancels}, errs.Load(), nil
 }
 
-// bench6StepsTolerance and bench6StepsSlack bound the allowed growth of a
-// diurnal steps/acquire cell against a baseline: regression iff
-// cur > base*(1+tolerance) + slack. Native scheduling decides how much of
-// each phase's demand actually overlaps, so occupancy — and with it the
-// probe cost — wobbles more than the simulated BENCH_2 sweeps; the gate
-// still catches the structural failure class (a lost floor hint, a ladder
-// that stops draining) which multiplies steps rather than nudging them.
-const (
-	bench6StepsTolerance = 0.5
-	bench6StepsSlack     = 2.0
-)
-
-// compareBench6 checks a fresh run against a baseline BENCH_6.json: the
-// diurnal steps/acquire cells present in both may not grow beyond
-// tolerance-plus-slack, and the storm p99 may not regress beyond the
-// quiet-run bound applied to the baseline's storm p99.
-func compareBench6(cur bench6File, againstPath string) error {
-	data, err := os.ReadFile(againstPath)
-	if err != nil {
-		return fmt.Errorf("bench6: reading baseline: %w", err)
+// cells gates steps/acquire per diurnal (arena, leg, k) phase at the
+// file's capacity and GOMAXPROCS, and the resize storm's p99.
+func (f bench6File) cells() []cell {
+	var out []cell
+	for _, p := range f.Diurnal {
+		out = append(out, cell{"steps/acquire", fmt.Sprintf("%s/%s/%d cap=%d gomaxprocs=%d",
+			p.Arena, p.Leg, p.K, f.Capacity, f.GoMaxProcs), p.StepsPerAcquire})
 	}
-	var base bench6File
-	if err := json.Unmarshal(data, &base); err != nil {
-		return fmt.Errorf("bench6: parsing baseline %s: %w", againstPath, err)
-	}
-	var regressions []string
-	compared := 0
-	basePhases := map[string]bench6Phase{}
-	for _, p := range base.Diurnal {
-		basePhases[fmt.Sprintf("%s/%s/%d", p.Arena, p.Leg, p.K)] = p
-	}
-	for _, p := range cur.Diurnal {
-		key := fmt.Sprintf("%s/%s/%d", p.Arena, p.Leg, p.K)
-		b, ok := basePhases[key]
-		if !ok || base.Capacity != cur.Capacity {
-			continue
-		}
-		compared++
-		if p.StepsPerAcquire > b.StepsPerAcquire*(1+bench6StepsTolerance)+bench6StepsSlack {
-			regressions = append(regressions, fmt.Sprintf(
-				"%s: %.2f steps/acquire exceeds baseline %.2f beyond %.0f%%+%.1f",
-				key, p.StepsPerAcquire, b.StepsPerAcquire, bench6StepsTolerance*100, bench6StepsSlack))
-		}
-	}
-	if base.Resize.StormP99Ns > 0 {
-		compared++
-		if float64(cur.Resize.StormP99Ns) > float64(base.Resize.StormP99Ns)*(1+bench6StormTolerance)+bench6StormSlack {
-			regressions = append(regressions, fmt.Sprintf(
-				"resize storm: p99 %dns exceeds baseline %dns beyond %.0f%%+%dns",
-				cur.Resize.StormP99Ns, base.Resize.StormP99Ns, bench6StormTolerance*100, int64(bench6StormSlack)))
-		}
-	}
-	if compared == 0 {
-		return fmt.Errorf("bench6: no overlapping comparable points between measurement and baseline %s", againstPath)
-	}
-	if len(regressions) > 0 {
-		msg := "bench6: regressed vs " + againstPath
-		for _, r := range regressions {
-			msg += "\n  " + r
-		}
-		return errors.New(msg)
-	}
-	fmt.Fprintf(os.Stderr, "bench6: %d cells within tolerance of baseline %s\n", compared, againstPath)
-	return nil
+	return append(out, cell{"storm p99", fmt.Sprintf("resize storm gomaxprocs=%d", f.GoMaxProcs), float64(f.Resize.StormP99Ns)})
 }
 
 // runBench6 measures the elastic diurnal trajectory, writes the JSON
@@ -405,6 +285,9 @@ func compareBench6(cur bench6File, againstPath string) error {
 func runBench6(path string, seed uint64, capacity int, against string) error {
 	if capacity < 1024 || capacity > 1<<20 || capacity&(capacity-1) != 0 {
 		return fmt.Errorf("bench6: -bench6-cap %d must be a power of two in [1024, %d]", capacity, 1<<20)
+	}
+	if err := probeWritable(path); err != nil {
+		return err
 	}
 	out := bench6File{
 		Description: "elastic diurnal trajectory: diurnal = live demand ramps 10 -> capacity -> 10 over one persistent arena per variant (elastic vs peak-provisioned fixed ladder, public API, per-TAS probe path so steps/acquire is the paper's machine-independent structural cost); headline gates at the down-leg k=capacity/64 trickle: elastic steps/acquire below fixed and resident bytes <= 1/8 of fixed; resize = forced grow/shrink storm, zero acquire errors, p99 bounded vs the antagonist-free quiet run; regenerate with: renamebench -bench6 " + path,
@@ -500,11 +383,7 @@ func runBench6(path string, seed uint64, capacity int, against string) error {
 	fmt.Fprintf(os.Stderr, "bench6: resize storm: quiet p99 %d ns, storm p99 %d ns, %d grows / %d shrinks / %d cancels, %d acquire errors\n",
 		out.Resize.QuietP99Ns, out.Resize.StormP99Ns, trans[0], trans[1], trans[2], out.Resize.AcquireErrors)
 
-	data, err := json.MarshalIndent(out, "", "  ")
-	if err != nil {
-		return err
-	}
-	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+	if err := writeJSON(path, out); err != nil {
 		return err
 	}
 	var misses []string
@@ -528,7 +407,8 @@ func runBench6(path string, seed uint64, capacity int, against string) error {
 		return errors.New(msg)
 	}
 	if against != "" {
-		return compareBench6(out, against)
+		_, err := checkBaseline("bench6", out, against)
+		return err
 	}
 	return nil
 }

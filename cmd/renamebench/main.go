@@ -72,57 +72,26 @@ func main() {
 		return
 	}
 
-	if *bench1 != "" {
-		if err := runBench1(*bench1, *seed, *bench1N, *bench1A); err != nil {
+	for _, b := range []struct {
+		path *string
+		what string
+		run  func(path string) error
+	}{
+		{bench1, "bench1 trajectory", func(p string) error { return runBench1(p, *seed, *bench1N, *bench1A) }},
+		{bench2, "bench2 churn trajectory", func(p string) error { return runBench2(p, *seed, *bench2N, *bench2A) }},
+		{bench3, "bench3 native scalability sweep", func(p string) error { return runBench3(p, *seed, *bench3G, *bench3A) }},
+		{bench4, "bench4 word-engine trajectory", func(p string) error { return runBench4(p, *seed, *bench4G) }},
+		{bench5, "bench5 open-loop latency trajectory", func(p string) error { return runBench5(p, *seed, *bench5R, *bench5N, *bench5A) }},
+		{bench6, "bench6 elastic diurnal trajectory", func(p string) error { return runBench6(p, *seed, *bench6C, *bench6A) }},
+	} {
+		if *b.path == "" {
+			continue
+		}
+		if err := b.run(*b.path); err != nil {
 			fmt.Fprintf(os.Stderr, "renamebench: %v\n", err)
 			os.Exit(1)
 		}
-		fmt.Printf("bench1 trajectory written to %s\n", *bench1)
-		return
-	}
-
-	if *bench2 != "" {
-		if err := runBench2(*bench2, *seed, *bench2N, *bench2A); err != nil {
-			fmt.Fprintf(os.Stderr, "renamebench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("bench2 churn trajectory written to %s\n", *bench2)
-		return
-	}
-
-	if *bench3 != "" {
-		if err := runBench3(*bench3, *seed, *bench3G, *bench3A); err != nil {
-			fmt.Fprintf(os.Stderr, "renamebench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("bench3 native scalability sweep written to %s\n", *bench3)
-		return
-	}
-
-	if *bench4 != "" {
-		if err := runBench4(*bench4, *seed, *bench4G); err != nil {
-			fmt.Fprintf(os.Stderr, "renamebench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("bench4 word-engine trajectory written to %s\n", *bench4)
-		return
-	}
-
-	if *bench5 != "" {
-		if err := runBench5(*bench5, *seed, *bench5R, *bench5N, *bench5A); err != nil {
-			fmt.Fprintf(os.Stderr, "renamebench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("bench5 open-loop latency trajectory written to %s\n", *bench5)
-		return
-	}
-
-	if *bench6 != "" {
-		if err := runBench6(*bench6, *seed, *bench6C, *bench6A); err != nil {
-			fmt.Fprintf(os.Stderr, "renamebench: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("bench6 elastic diurnal trajectory written to %s\n", *bench6)
+		fmt.Printf("%s written to %s\n", b.what, *b.path)
 		return
 	}
 
